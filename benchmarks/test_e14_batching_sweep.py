@@ -2,24 +2,26 @@
 
 The paper's protocols pay a fixed per-datagram price — framing bytes on
 the wire, one loss trial per datagram on a lossy link.  E14 measures what
-coalescing a flush window's traffic into shared envelopes (plus group
-commit and delta vector clocks) buys along both axes, sweeping the flush
-window for all four protocols on lossy links, where the per-datagram loss
-trials make the price visible:
+batched mode (a flush window's traffic coalesced into shared envelopes per
+link, ABP order assignments coalesced per instant, delta vector clocks)
+buys, sweeping the flush window for all four protocols on lossy links:
 
-- **physical datagrams per committed update** fall for every protocol as
-  the window widens (the headline: each datagram that never exists is a
-  loss trial that never happens and a header never paid);
-- **throughput** (committed txns per simulated second) *rises* for the
-  broadcast protocols at moderate windows — fewer datagrams mean fewer
-  loss-repair round trips, which shortens the commit-latency tail more
-  than the window delays commits;
-- past the sweet spot the window delay itself dominates and throughput
-  falls again: batching is a knob, not a free lunch.
+- **physical datagrams per committed update** fall for every protocol at
+  every seed (the headline: each datagram that never exists is a loss
+  trial that never happens and a header never paid);
+- **wire bytes per committed update** fall likewise, from shared headers
+  and delta clocks;
+- **throughput** (committed txns per simulated second) does *not* reliably
+  improve: across seeds 21–30 at a 2 ms window the batched/passthrough
+  ratio's median is below 1 for every protocol, with a seed-to-seed spread
+  of roughly 0.4–1.7×.  The sweep table still prints it; nothing asserts a
+  throughput win.
 
-Passthrough (``batching=None``) runs bit-identically to the historical
-wire traffic — asserted by tests/integration/test_batching_equivalence.py,
-so this file only measures the enabled configurations against it.
+The sweep tables use seed 21; the asserted claims hold per seed over
+``SEEDS``.  Passthrough (``batching=None``) runs bit-identically to the
+historical wire traffic — asserted by
+tests/integration/test_batching_equivalence.py, so this file only
+measures the enabled configurations against it.
 """
 
 from benchmarks.common import (
@@ -31,22 +33,22 @@ from benchmarks.common import (
     standard_workload,
 )
 from repro.analysis.report import Table
-from repro.broadcast.batching import BatchingConfig
 
 #: None = passthrough; numbers are flush windows in simulated ms.
 WINDOWS = (None, 0.0, 2.0, 5.0)
 LOSS = 0.05
 TX_PER_POINT = 60
+#: Seeds over which the datagram and byte savings are asserted one by one.
+SEEDS = (21, 22, 23, 24, 25)
 
 
-def batching_run(protocol: str, window):
-    batching = None if window is None else BatchingConfig(flush_window=window)
+def batching_run(protocol: str, window, seed: int = 21):
     cluster = make_cluster(
         protocol,
         num_objects=256,
-        seed=21,
+        seed=seed,
         loss_rate=LOSS,
-        batching=batching,
+        batching=window,
     )
     workload = standard_workload(num_objects=256, zipf_theta=0.0)
     result = run_mix(cluster, workload, transactions=TX_PER_POINT, mpl=8)
@@ -66,7 +68,7 @@ def test_e14_batching_sweep(benchmark):
             measured[(protocol, window)] = batching_run(protocol, window)
 
     for title, metric in (
-        ("E14a: committed txn/s vs flush window (5% loss)", "txn_s"),
+        ("E14a: committed txn/s vs flush window (5% loss, seed 21)", "txn_s"),
         ("E14b: physical datagrams per committed update", "datagrams_per_update"),
         ("E14c: wire bytes per committed update", "bytes_per_update"),
     ):
@@ -78,28 +80,26 @@ def test_e14_batching_sweep(benchmark):
             )
         print_experiment_table(table)
 
+    table = Table(
+        ["protocol", "seed", "datagrams x", "bytes x", "txn/s x"],
+        title="E14d: batched (2 ms) over passthrough, per seed",
+    )
     for protocol in PROTOCOLS:
-        base = measured[(protocol, None)]
-        swept = measured[(protocol, 2.0)]
-        # Coalescing really coalesces: fewer physical datagrams per update
-        # for every protocol at the moderate window.
-        assert swept["datagrams_per_update"] < base["datagrams_per_update"]
-    for protocol in ("rbp", "cbp", "abp"):
-        base = measured[(protocol, None)]
-        # Fewer datagrams = fewer loss-repair rounds: each broadcast
-        # protocol has a window setting that commits *faster* than
-        # passthrough despite the added delay (the sweet spot differs —
-        # RBP's vote storms coalesce best at zero window, ABP's sequencer
-        # traffic tolerates a wider one)...
-        best_txn_s = max(
-            measured[(protocol, window)]["txn_s"] for window in WINDOWS[1:]
-        )
-        assert best_txn_s > base["txn_s"]
-        # ...and the moderate window is cheaper on the wire: shared
-        # headers + delta clocks + group commit.
-        assert measured[(protocol, 2.0)]["bytes_per_update"] < base["bytes_per_update"]
-    # The step change the batching layer exists for: ABP (the paper's
-    # throughput winner) gains at least 1.5x committed txn/s.
-    assert measured[("abp", 2.0)]["txn_s"] >= 1.5 * measured[("abp", None)]["txn_s"]
+        for seed in SEEDS:
+            base = batching_run(protocol, None, seed)
+            swept = batching_run(protocol, 2.0, seed)
+            ratios = {metric: swept[metric] / base[metric] for metric in swept}
+            table.add_row(
+                protocol,
+                seed,
+                ratios["datagrams_per_update"],
+                ratios["bytes_per_update"],
+                ratios["txn_s"],
+            )
+            # Coalescing really coalesces, at every seed: fewer physical
+            # datagrams and fewer wire bytes per committed update.
+            assert ratios["datagrams_per_update"] < 1.0, (protocol, seed, ratios)
+            assert ratios["bytes_per_update"] < 1.0, (protocol, seed, ratios)
+    print_experiment_table(table)
 
     bench_once(benchmark, batching_run, "abp", 2.0)

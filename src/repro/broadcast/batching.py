@@ -17,8 +17,8 @@ and dispatches the constituents in deterministic ``(sender, batch seq,
 slot)`` order — slot order *is* the sender's issue order, so per-link FIFO
 is preserved payload-for-payload.
 
-Selection is per-cluster via ``ClusterConfig.batching`` (see
-:class:`BatchingConfig`).  ``None`` keeps the historical passthrough path:
+Selection is per-cluster via ``ClusterConfig.batching``, the flush window
+in milliseconds.  ``None`` keeps the historical passthrough path:
 no batcher is constructed at all and the wire traffic is bit-identical to
 previous releases (the pinned digests in
 ``tests/integration/test_batching_equivalence.py`` prove it).  With
@@ -45,27 +45,6 @@ from repro.net.sizes import OBJECT_OVERHEAD, estimate_size, register_payload
 #: framing — lands under this label, which is background traffic for the
 #: E1 cost model.
 BATCH_KIND = "transport.batch"
-
-
-@dataclass(frozen=True)
-class BatchingConfig:
-    """Batching knobs, selected via ``ClusterConfig.batching``.
-
-    ``flush_window`` is the coalescing horizon in simulated milliseconds
-    (0.0 = same-timestamp coalescing only).  ``group_commit`` lets the
-    protocol layers pack votes/acks/order-assignments for transactions
-    sharing a delivery round into single logical messages;
-    ``delta_clocks`` ships vector clocks as per-sender deltas (see
-    ``CausalBroadcast.enable_delta_clocks``).
-    """
-
-    flush_window: float = 0.0
-    group_commit: bool = True
-    delta_clocks: bool = True
-
-    def __post_init__(self) -> None:
-        if self.flush_window < 0:
-            raise ValueError("flush_window must be non-negative")
 
 
 @dataclass(slots=True)

@@ -113,7 +113,7 @@ class TotalOrderBroadcast:
         token_hold: float = 1.0,
         uniform: bool = False,
         stability_interval: float = 10.0,
-        group_commit: bool = False,
+        coalesce_assignments: bool = False,
     ):
         if mode not in ("sequencer", "token"):
             raise ValueError(f"unknown total-order mode {mode!r}")
@@ -144,10 +144,10 @@ class TotalOrderBroadcast:
         self._delivery_order: list[tuple[int, int]] = []  # sorted keys awaiting delivery
         # Sequencer state.
         self._next_seq = 0
-        #: Group commit: the sequencer accumulates the assignments it issues
+        #: Batched mode: the sequencer accumulates the assignments it issues
         #: at one simulation instant and broadcasts them as a single
         #: OrderAssignment per epoch run, instead of one per message.
-        self.group_commit = group_commit
+        self.coalesce_assignments = coalesce_assignments
         self._assign_outbox: list[tuple[int, MessageId, int]] = []
         self._assign_armed = False
         # Token state.
@@ -274,14 +274,14 @@ class TotalOrderBroadcast:
         self._drain()
 
     def _issue_assignment(self, epoch: int, msg_id: MessageId, seq: int) -> None:
-        """Broadcast one assignment, or queue it for the group-commit flush.
+        """Broadcast one assignment, or queue it for the coalescing flush.
 
         The local :meth:`_record_order` already happened (H402); only the
         wire announcement is deferred, by one zero-delay event, so every
         ordered message the sequencer delivers at this instant shares one
         OrderAssignment frame.
         """
-        if not self.group_commit:
+        if not self.coalesce_assignments:
             self.causal.broadcast(OrderAssignment(epoch, [(msg_id, seq)]))
             return
         self._assign_outbox.append((epoch, msg_id, seq))

@@ -24,7 +24,7 @@ from typing import Any, Callable, Optional
 
 from repro.analysis.metrics import MetricsCollector
 from repro.baselines.p2p_2pc import PointToPointReplica
-from repro.broadcast.batching import BatchingConfig, BroadcastBatcher
+from repro.broadcast.batching import BroadcastBatcher
 from repro.broadcast.causal import CausalBroadcast
 from repro.broadcast.failure_detector import FailureDetector
 from repro.broadcast.membership import MembershipService, View
@@ -70,21 +70,19 @@ class ClusterConfig:
     # (rejected when loss_rate > 0).
     reliable_links: Optional[bool] = None
     # Batching: None = passthrough, bit-identical to historical traffic.
-    # Otherwise a BatchingConfig (or shorthand: True = defaults, a number =
-    # flush window in ms) enabling the flush-window coalescer plus, per its
-    # flags, protocol group commit and delta-encoded vector clocks.  With
-    # batching on, runs are outcome-equivalent, not trace-identical.
-    batching: Optional[Any] = None
-    arq_window: int = 32
-    arq_max_backoff: float = 64.0
+    # Otherwise the flush window in ms (0.0 = same-instant coalescing): a
+    # per-site BroadcastBatcher coalesces each window's traffic per link,
+    # ABP's sequencer packs an instant's order assignments into one
+    # OrderAssignment, and causal broadcasts ship delta-encoded vector
+    # clocks.  With batching on, runs are outcome-equivalent, not
+    # trace-identical.
+    batching: Optional[float] = None
     relay: bool = False
     trace: bool = False
-    # Trace retention: a cap (records) and which end to keep when it is
-    # reached — "head" keeps the oldest (assert on a run's opening phase),
-    # "ring" keeps the newest (long soaks: memory stays bounded and the
-    # records nearest a failure survive).  See repro.sim.trace.TraceLog.
+    # Trace retention cap (records): the log keeps the newest ones in a
+    # ring, so long soaks stay memory-bounded and the records nearest a
+    # failure survive.  See repro.sim.trace.TraceLog.
     trace_capacity: Optional[int] = None
-    trace_mode: str = "head"
     # Failure handling.
     enable_failure_detector: bool = False
     fd_interval: float = 50.0
@@ -98,9 +96,6 @@ class ClusterConfig:
     # RBP knobs.
     rbp_wound_local_readers: bool = False
     rbp_pipeline_writes: bool = False
-    rbp_decision_query_timeout: float = 60.0
-    rbp_decision_query_attempts: int = 8
-    rbp_decision_log_capacity: int = 1024
     # CBP knobs.
     cbp_heartbeat: Optional[float] = 25.0
     cbp_per_op: bool = False
@@ -126,18 +121,15 @@ class ClusterConfig:
                 "reliable_links=False with loss_rate > 0 would break the "
                 "reliable-FIFO-link assumption the protocols are built on"
             )
-        if self.batching is not None and not isinstance(self.batching, BatchingConfig):
-            if self.batching is True:
-                self.batching = BatchingConfig()
-            elif isinstance(self.batching, (int, float)) and not isinstance(
-                self.batching, bool
-            ):
-                self.batching = BatchingConfig(flush_window=float(self.batching))
-            else:
-                raise ValueError(
-                    "batching must be None, True, a flush window in ms, "
-                    "or a BatchingConfig"
-                )
+        if self.batching is not None and (
+            isinstance(self.batching, bool)
+            or not isinstance(self.batching, (int, float))
+            or self.batching < 0
+        ):
+            raise ValueError(
+                "batching must be None or a non-negative flush window in ms, "
+                f"not {self.batching!r}"
+            )
 
 
 @dataclass
@@ -185,11 +177,7 @@ class Cluster:
         self.config = config
         self.engine = SimulationEngine()
         self.rng = RngRegistry(config.seed)
-        self.trace = TraceLog(
-            enabled=config.trace,
-            capacity=config.trace_capacity,
-            mode=config.trace_mode,
-        )
+        self.trace = TraceLog(enabled=config.trace, capacity=config.trace_capacity)
         self.recorder = HistoryRecorder()
         self.metrics = MetricsCollector()
         latency = config.latency if config.latency is not None else UniformLatency(0.5, 1.5)
@@ -227,14 +215,12 @@ class Cluster:
                 self.network,
                 site,
                 reliable=config.reliable_links,
-                window=config.arq_window,
-                max_backoff=config.arq_max_backoff,
                 trace=self.trace,
             )
             batcher = None
             if config.batching is not None:
                 batcher = BroadcastBatcher(
-                    self.engine, transport, flush_window=config.batching.flush_window
+                    self.engine, transport, flush_window=config.batching
                 )
             router = ChannelRouter(transport, batcher=batcher)
             reliable = ReliableBroadcast(
@@ -278,9 +264,7 @@ class Cluster:
         self, site: int, router: ChannelRouter, reliable: ReliableBroadcast
     ) -> Replica:
         config = self.config
-        batching = config.batching
-        group_commit = batching is not None and batching.group_commit
-        delta_clocks = batching is not None and batching.delta_clocks
+        batched = config.batching is not None
         common = (
             self.engine,
             site,
@@ -296,14 +280,10 @@ class Cluster:
                 router=router,
                 wound_local_readers=config.rbp_wound_local_readers,
                 pipeline_writes=config.rbp_pipeline_writes,
-                decision_query_timeout=config.rbp_decision_query_timeout,
-                decision_query_attempts=config.rbp_decision_query_attempts,
-                decision_log_capacity=config.rbp_decision_log_capacity,
-                group_commit=group_commit,
             )
         if config.protocol == "cbp":
             causal = CausalBroadcast(reliable)
-            if delta_clocks:
+            if batched:
                 causal.enable_delta_clocks()
             self.causals.append(causal)
             return CausalBroadcastReplica(
@@ -314,7 +294,7 @@ class Cluster:
             )
         if config.protocol == "abp":
             causal = CausalBroadcast(reliable)
-            if delta_clocks:
+            if batched:
                 causal.enable_delta_clocks()
             self.causals.append(causal)
             total = TotalOrderBroadcast(
@@ -324,7 +304,7 @@ class Cluster:
                 token_hold=config.abp_token_hold,
                 uniform=config.abp_uniform,
                 stability_interval=config.abp_stability_interval,
-                group_commit=group_commit,
+                coalesce_assignments=batched,
             )
             self.totals.append(total)
             return AtomicBroadcastReplica(*common, abcast=total, variant=config.abp_variant)

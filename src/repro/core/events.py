@@ -58,25 +58,6 @@ class RbpVote:
 
 
 @dataclass(slots=True)
-class RbpVoteBatch:
-    """Group commit: every vote this site cast at one simulation instant,
-    piggybacked in a single reliable broadcast.  Receivers tally each
-    constituent exactly as if it had arrived alone."""
-
-    votes: tuple[RbpVote, ...]
-    kind: str = "rbp.vote_batch"
-
-
-@dataclass(slots=True)
-class RbpWriteAckBatch:
-    """Group commit: every write acknowledgment this site owes one home
-    site at one simulation instant, in a single point-to-point frame."""
-
-    acks: tuple[RbpWriteAck, ...]
-    kind: str = "rbp.ack_batch"
-
-
-@dataclass(slots=True)
 class RbpAbort:
     """Initiator-broadcast abort (after a negative ack or vote)."""
 
@@ -263,8 +244,6 @@ register_payload(
     RbpWriteAck,
     RbpCommitRequest,
     RbpVote,
-    RbpVoteBatch,
-    RbpWriteAckBatch,
     RbpAbort,
     RbpDecisionQuery,
     RbpDecisionAnswer,

@@ -40,10 +40,8 @@ from repro.core.events import (
     RbpDecisionAnswer,
     RbpDecisionQuery,
     RbpVote,
-    RbpVoteBatch,
     RbpWrite,
     RbpWriteAck,
-    RbpWriteAckBatch,
 )
 from repro.core.replica import Replica
 from repro.core.transaction import AbortReason, Transaction, TxPhase
@@ -130,21 +128,11 @@ class ReliableBroadcastReplica(Replica):
         decision_query_timeout: float = 60.0,
         decision_query_attempts: int = 8,
         decision_log_capacity: int = 1024,
-        group_commit: bool = False,
     ):
         super().__init__(engine, site, num_sites, recorder, metrics, trace)
         self.rbcast = rbcast
         self.router = router
         self.wound_local_readers = wound_local_readers
-        #: Group commit: votes cast (and write acks owed per home) at one
-        #: simulation instant ride one frame instead of one each.  Tallies
-        #: accept the batched forms unconditionally — only the *sending*
-        #: side is gated, so mixed configurations interoperate.
-        self.group_commit = group_commit
-        self._vote_outbox: list[RbpVote] = []
-        self._vote_armed = False
-        self._ack_outbox: dict[int, list[RbpWriteAck]] = {}
-        self._ack_armed = False
         #: Ablation (E10): broadcast every write at once instead of the
         #: paper's one-blocked-round-per-write; latency stops growing
         #: linearly in the write count at unchanged message cost.
@@ -350,12 +338,6 @@ class ReliableBroadcastReplica(Replica):
             self._on_commit_request(payload)
         elif isinstance(payload, RbpVote):
             self._on_vote(payload)
-        elif isinstance(payload, RbpVoteBatch):
-            # Group commit: tally each constituent as if it arrived alone.
-            # Accepted regardless of the local group_commit setting, so
-            # mixed configurations interoperate.
-            for vote in payload.votes:
-                self._on_vote(vote)
         elif isinstance(payload, RbpAbort):
             # Initiator-driven: an authoritative outcome, not a presumption.
             self._record_decision(payload.tx, committed=False)
@@ -476,50 +458,10 @@ class ReliableBroadcastReplica(Replica):
         if write.home == self.site:
             self._on_ack(ack)
             return
-        if not self.group_commit:
-            self.router.send(write.home, DIRECT_CHANNEL, ack, ack.kind)
-            return
-        self._ack_outbox.setdefault(write.home, []).append(ack)
-        if not self._ack_armed:
-            self._ack_armed = True
-            # detcheck: ignore[P203] — the flush re-checks alive and the
-            # outbox; a crash clears both, leaving the firing a no-op.
-            self.engine.schedule(0.0, self._flush_acks)
-
-    def _flush_acks(self) -> None:
-        self._ack_armed = False
-        if not self.alive or not self._ack_outbox:
-            return
-        outbox, self._ack_outbox = self._ack_outbox, {}
-        for home in sorted(outbox):
-            acks = outbox[home]
-            if len(acks) == 1:
-                self.router.send(home, DIRECT_CHANNEL, acks[0], acks[0].kind)
-            else:
-                batch = RbpWriteAckBatch(tuple(acks))
-                self.router.send(home, DIRECT_CHANNEL, batch, batch.kind)
+        self.router.send(write.home, DIRECT_CHANNEL, ack, ack.kind)
 
     def _cast_vote(self, tx_id: str, yes: bool) -> None:
-        vote = RbpVote(tx_id, self.site, yes)
-        if not self.group_commit:
-            self.rbcast.broadcast(vote)
-            return
-        self._vote_outbox.append(vote)
-        if not self._vote_armed:
-            self._vote_armed = True
-            # detcheck: ignore[P203] — the flush re-checks alive and the
-            # outbox; a crash clears both, leaving the firing a no-op.
-            self.engine.schedule(0.0, self._flush_votes)
-
-    def _flush_votes(self) -> None:
-        self._vote_armed = False
-        if not self.alive or not self._vote_outbox:
-            return
-        outbox, self._vote_outbox = self._vote_outbox, []
-        if len(outbox) == 1:
-            self.rbcast.broadcast(outbox[0])
-        else:
-            self.rbcast.broadcast(RbpVoteBatch(tuple(outbox)))
+        self.rbcast.broadcast(RbpVote(tx_id, self.site, yes))
 
     def _on_commit_request(self, request: RbpCommitRequest) -> None:
         decided = self._decisions.get(request.tx)
@@ -1011,10 +953,6 @@ class ReliableBroadcastReplica(Replica):
     def _on_direct(self, src: int, payload: Any) -> None:
         if isinstance(payload, RbpWriteAck):
             self._on_ack(payload)
-        elif isinstance(payload, RbpWriteAckBatch):
-            # Group commit: tally each constituent as if it arrived alone.
-            for ack in payload.acks:
-                self._on_ack(ack)
         elif isinstance(payload, RbpDecisionAnswer):
             self._on_answer(payload)
         else:
@@ -1040,10 +978,6 @@ class ReliableBroadcastReplica(Replica):
                 self._prepared.add(tx_id)
         self._buffered.clear()
         self._votes.clear()
-        # Group-commit outboxes are volatile: clearing them makes any
-        # already-scheduled zero-delay flush a no-op after the crash.
-        self._vote_outbox.clear()
-        self._ack_outbox.clear()
         self._write_round.clear()
         self._write_queue.clear()
         self._write_homes.clear()

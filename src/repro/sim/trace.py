@@ -4,19 +4,12 @@ Protocols emit trace records ("site 2 delivered commit request for T7 at
 t=41.2") through a shared :class:`TraceLog`.  Tests assert on traces; the
 benchmark harness keeps tracing disabled for speed.
 
-Bounded modes (long soaks must stay memory-bounded; see E13):
-
-- ``mode="head"`` (the default with a ``capacity``): keep the *oldest*
-  ``capacity`` records and refuse the rest — the historical behaviour,
-  right for tests that assert on a run's opening phase.
-- ``mode="ring"``: keep the *newest* ``capacity`` records in a circular
-  buffer — right for churn soaks, where the interesting records are the
-  ones nearest the failure being diagnosed and memory must not grow with
-  simulated time.
-
-In both modes ``counts`` keeps incrementing past the cap and ``dropped``
-counts exactly the records no longer retained, so ``truncated`` flags any
-incomplete history (the audit checks it).
+A ``capacity`` bounds the log (long soaks must stay memory-bounded; see
+E13): it keeps the *newest* ``capacity`` records in a circular buffer, so
+the records nearest the failure being diagnosed survive and memory does
+not grow with simulated time.  ``counts`` keeps incrementing past the cap
+and ``dropped`` counts exactly the records overwritten, so ``truncated``
+flags any incomplete history (the audit checks it).
 """
 
 from __future__ import annotations
@@ -47,27 +40,16 @@ class TraceLog:
     benchmarks don't pay for record construction.
     """
 
-    def __init__(
-        self,
-        enabled: bool = True,
-        capacity: Optional[int] = None,
-        mode: str = "head",
-    ):
-        if mode not in ("head", "ring"):
-            raise ValueError(f"unknown trace mode {mode!r}; pick 'head' or 'ring'")
-        if mode == "ring" and capacity is None:
-            raise ValueError("mode='ring' requires a capacity")
+    def __init__(self, enabled: bool = True, capacity: Optional[int] = None):
         if capacity is not None and capacity < 1:
             raise ValueError("capacity must be at least 1")
         self.enabled = enabled
         self.capacity = capacity
-        self.mode = mode
         self._buffer: list[TraceRecord] = []
-        #: Next slot to overwrite once the ring is full (ring mode only).
+        #: Next slot to overwrite once the ring is full.
         self._ring_head = 0
         self.counts: Counter[str] = Counter()
-        #: Records no longer retained because ``capacity`` was reached —
-        #: refused (head mode) or overwritten (ring mode).  ``counts``
+        #: Records overwritten because ``capacity`` was reached.  ``counts``
         #: keeps incrementing past the cap, so a non-zero value here is the
         #: only sign that ``records`` is an incomplete history — consumers
         #: (audit, timeline, tests) must check :attr:`truncated`.
@@ -81,8 +63,6 @@ class TraceLog:
         buffer = self._buffer
         if self.capacity is not None and len(buffer) >= self.capacity:
             self.dropped += 1
-            if self.mode == "head":
-                return
             # Ring wraparound: overwrite the oldest slot in place, so the
             # buffer always holds the newest ``capacity`` records.
             head = self._ring_head
@@ -95,11 +75,11 @@ class TraceLog:
     def records(self) -> list[TraceRecord]:
         """Retained records in emission (chronological) order.
 
-        Unbounded and head-bounded logs expose the underlying list itself
-        (identical to the historical attribute); a wrapped ring returns a
-        rotated copy so iteration order is still oldest-to-newest.
+        An unbounded or not-yet-wrapped log exposes the underlying list
+        itself; a wrapped ring returns a rotated copy so iteration order is
+        still oldest-to-newest.
         """
-        if self.mode == "ring" and self._ring_head:
+        if self._ring_head:
             head = self._ring_head
             return self._buffer[head:] + self._buffer[:head]
         return self._buffer

@@ -101,7 +101,8 @@ def test_home_crash_after_prepare_resolved_by_query_commit():
     in_doubt = cluster.trace.filter("rbp.in_doubt", tx="T#1")
     adopted = cluster.trace.filter("rbp.decision_adopted", tx="T#1", outcome="commit")
     assert len(in_doubt) == 1 and len(adopted) == 1
-    assert adopted[0].time - in_doubt[0].time <= cluster.config.rbp_decision_query_timeout
+    timeout = cluster.replicas[0].decision_query_timeout
+    assert adopted[0].time - in_doubt[0].time <= timeout
     assert_no_locks(cluster)
     assert_clean(cluster)
 
@@ -183,7 +184,7 @@ def test_query_answered_by_lagging_member_after_retries():
         assert adopted, f"{record.source} never adopted the outcome"
         assert (
             adopted[0].time - record.time
-            <= 4 * cluster.config.rbp_decision_query_timeout
+            <= 4 * cluster.replicas[0].decision_query_timeout
         )
     assert_no_locks(cluster)
     assert_clean(cluster)

@@ -7,9 +7,9 @@ import pytest
 from repro.broadcast.batching import (
     BATCH_KIND,
     BatchEnvelope,
-    BatchingConfig,
     BroadcastBatcher,
 )
+from repro.core.cluster import ClusterConfig
 from repro.net.network import Network
 from repro.net.router import ChannelRouter
 from repro.net.sizes import OBJECT_OVERHEAD, estimate_size
@@ -37,7 +37,7 @@ def build(num_sites=3, flush_window=0.0):
 
 def test_config_rejects_negative_window():
     with pytest.raises(ValueError):
-        BatchingConfig(flush_window=-1.0)
+        ClusterConfig(batching=-1.0)
     with pytest.raises(ValueError):
         BroadcastBatcher(SimulationEngine(), None, flush_window=-0.5)
 

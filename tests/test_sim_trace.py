@@ -67,11 +67,11 @@ def test_clear():
     assert log.dropped == 0 and not log.truncated
 
 
-# -- ring mode (E13 soaks) -------------------------------------------------------
+# -- capacity ring (E13 soaks) ---------------------------------------------------
 
 
 def test_ring_keeps_newest_records():
-    log = TraceLog(capacity=3, mode="ring")
+    log = TraceLog(capacity=3)
     for i in range(8):
         log.emit(float(i), "s", "k", i=i)
     assert len(log) == 3
@@ -79,7 +79,7 @@ def test_ring_keeps_newest_records():
 
 
 def test_ring_records_are_chronological_across_wraparound():
-    log = TraceLog(capacity=4, mode="ring")
+    log = TraceLog(capacity=4)
     for i in range(11):  # wraps twice, ends mid-buffer
         log.emit(float(i), "s", "k")
     times = [r.time for r in log.records]
@@ -87,7 +87,7 @@ def test_ring_records_are_chronological_across_wraparound():
 
 
 def test_ring_dropped_is_exact():
-    log = TraceLog(capacity=5, mode="ring")
+    log = TraceLog(capacity=5)
     for i in range(17):
         log.emit(float(i), "s", "k")
     assert log.dropped == 12  # overwritten, not refused
@@ -96,7 +96,7 @@ def test_ring_dropped_is_exact():
 
 
 def test_ring_below_capacity_matches_unbounded():
-    ring = TraceLog(capacity=10, mode="ring")
+    ring = TraceLog(capacity=10)
     plain = TraceLog()
     for i in range(6):
         ring.emit(float(i), "s", "k", i=i)
@@ -107,18 +107,8 @@ def test_ring_below_capacity_matches_unbounded():
     assert not ring.truncated
 
 
-def test_head_mode_unchanged_by_mode_parameter():
-    head = TraceLog(capacity=2, mode="head")
-    legacy = TraceLog(capacity=2)
-    for i in range(5):
-        head.emit(float(i), "s", "k")
-        legacy.emit(float(i), "s", "k")
-    assert [r.time for r in head.records] == [r.time for r in legacy.records] == [0.0, 1.0]
-    assert head.dropped == legacy.dropped == 3
-
-
 def test_ring_filter_sees_rotated_order():
-    log = TraceLog(capacity=3, mode="ring")
+    log = TraceLog(capacity=3)
     for i in range(5):
         log.emit(float(i), "s", "a" if i % 2 else "b")
     assert [r.time for r in log.filter(kind="a")] == [3.0]
@@ -126,7 +116,7 @@ def test_ring_filter_sees_rotated_order():
 
 
 def test_ring_clear_resets_head():
-    log = TraceLog(capacity=2, mode="ring")
+    log = TraceLog(capacity=2)
     for i in range(5):
         log.emit(float(i), "s", "k")
     log.clear()
@@ -135,12 +125,8 @@ def test_ring_clear_resets_head():
     assert [r.time for r in log.records] == [11.0, 12.0]
 
 
-def test_ring_requires_capacity():
+def test_capacity_must_be_positive():
     import pytest
 
     with pytest.raises(ValueError):
-        TraceLog(mode="ring")
-    with pytest.raises(ValueError):
-        TraceLog(capacity=0, mode="ring")
-    with pytest.raises(ValueError):
-        TraceLog(capacity=5, mode="sideways")
+        TraceLog(capacity=0)
