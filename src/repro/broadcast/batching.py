@@ -119,6 +119,11 @@ class BroadcastBatcher:
             # crash (reset) between arming and firing leaves it a no-op.
             self.engine.schedule(self.flush_window, self._flush)
 
+    def multicast(self, dsts: list[int], payload: Any, kind: Optional[str] = None) -> None:
+        """Queue ``payload`` for each of ``dsts``, in order."""
+        for dst in dsts:
+            self.send(dst, payload, kind)
+
     def flush_now(self) -> None:
         """Flush synchronously (tests, and draining before a controlled
         shutdown).  The armed timer, if any, later fires as a no-op."""

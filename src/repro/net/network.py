@@ -12,13 +12,20 @@
 
 The network also keeps the message accounting used by the paper-style cost
 comparisons (experiment E1): physical point-to-point sends per payload kind.
+
+:meth:`Network.send` is a fan-out of one.  A fan-out validates every site
+before it touches anything, then labels, sizes and accounts the payload
+once, bumping the counters by the destination count.  Only the per-link
+work repeats per destination, in destination order: the reachability
+check, the loss draw, the latency draw, the FIFO clamp and the schedule.
+The RNG draws therefore happen in the same order as a loop of sends.
 """
 
 from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass, field
-from typing import Any, Callable, Optional
+from typing import Any, Callable, Optional, Sequence
 
 from repro.net.latency import FixedLatency, LatencyModel
 from repro.net.sizes import estimate_size, wire_size
@@ -27,7 +34,7 @@ from repro.sim.engine import SimulationEngine
 from repro.sim.rng import RngRegistry
 
 
-@dataclass
+@dataclass(slots=True)
 # Simulator-internal delivery record: the network sizes datagram *payloads*
 # (wire_size(payload) below), never the Datagram wrapper itself.
 # detcheck: ignore[S302]
@@ -108,8 +115,9 @@ class Network:
         self._rng = (rng or RngRegistry(0)).stream("network")
         self._handlers: list[Optional[Callable[[Datagram], None]]] = [None] * num_sites
         self._site_up = [True] * num_sites
-        # Per-(src, dst) last scheduled delivery time, for FIFO clamping.
-        self._last_delivery: dict[tuple[int, int], float] = {}
+        # Last scheduled delivery time per link, indexed
+        # ``src * num_sites + dst``, for FIFO clamping.
+        self._last_delivery: list[float] = [0.0] * (num_sites * num_sites)
 
     def attach(self, site: int, handler: Callable[[Datagram], None]) -> None:
         """Register the receive callback for ``site``."""
@@ -132,55 +140,7 @@ class Network:
         scheduling delay so local delivery still goes through the event loop
         (keeping callback ordering uniform).
         """
-        self._check_site(src)
-        self._check_site(dst)
-        label = kind if kind is not None else _kind_of(payload)
-        size = wire_size(payload)
-        self.stats.sent += 1
-        self.stats.bytes_sent += size
-        if label == _BATCH_KIND:
-            # A flush-window batch is one physical datagram but many
-            # protocol messages: attribute each constituent's count and
-            # bytes to its own kind so the E1/E11 per-kind cost tables are
-            # batching-invariant, and only the shared framing residual to
-            # the batch label.  (Retransmissions of batch frames keep the
-            # opaque ``transport.retransmit`` label, as all repair traffic
-            # does.)  ``sent`` keeps counting physical datagrams, so with
-            # batching on ``sum(by_kind) > sent`` by design.
-            self._account_batch(payload, size)
-        else:
-            self.stats.by_kind[label] += 1
-            self.stats.bytes_by_kind[label] += size
-
-        if not self._site_up[src]:
-            # A crashed site cannot send; callers normally guard this, but a
-            # late timer may race a crash.
-            self.stats.dropped_crashed += 1
-            return
-        if src != dst:
-            if not self.partitions.connected(src, dst):
-                self.stats.dropped_partition += 1
-                return
-            if self.loss_rate > 0 and self._rng.random() < self.loss_rate:
-                self.stats.dropped_loss += 1
-                return
-            delay = self.latency.sample(self._rng, src, dst)
-            if self.bandwidth is not None:
-                delay += size / self.bandwidth
-        else:
-            delay = 0.0
-
-        now = self.engine.now
-        deliver_at = now + delay
-        # FIFO clamp: never deliver before an earlier datagram on this link.
-        key = (src, dst)
-        floor = self._last_delivery.get(key, 0.0)
-        if deliver_at < floor:
-            deliver_at = floor
-        self._last_delivery[key] = deliver_at
-
-        datagram = Datagram(src, dst, payload, label, now, deliver_at)
-        self.engine.schedule_at(deliver_at, self._deliver, datagram)
+        self._fanout(src, (dst,), payload, kind)
 
     def multicast(
         self,
@@ -194,12 +154,78 @@ class Network:
 
         The paper's cost model treats a broadcast to ``n`` sites as ``n``
         point-to-point messages in the absence of hardware multicast; this
-        method makes that accounting explicit.
+        method makes that accounting explicit.  It is equivalent to one
+        :meth:`send` per destination, in order, except that an unknown site
+        raises before anything is counted, drawn or scheduled.
         """
+        if not include_self:
+            dsts = [dst for dst in dsts if dst != src]
+        self._fanout(src, dsts, payload, kind)
+
+    def _fanout(self, src: int, dsts: Sequence[int], payload: Any, kind: Optional[str]) -> None:
+        """Send ``payload`` from ``src`` to every site in ``dsts``, in order."""
+        self._check_site(src)
         for dst in dsts:
-            if dst == src and not include_self:
-                continue
-            self.send(src, dst, payload, kind)
+            self._check_site(dst)
+        count = len(dsts)
+        if not count:
+            return
+        label = kind if kind is not None else _kind_of(payload)
+        size = wire_size(payload)
+        stats = self.stats
+        stats.sent += count
+        stats.bytes_sent += size * count
+        if label == _BATCH_KIND:
+            # A flush-window batch is one physical datagram but many
+            # protocol messages: attribute each constituent's count and
+            # bytes to its own kind so the E1/E11 per-kind cost tables are
+            # batching-invariant, and only the shared framing residual to
+            # the batch label.  (Retransmissions of batch frames keep the
+            # opaque ``transport.retransmit`` label, as all repair traffic
+            # does.)  ``sent`` keeps counting physical datagrams, so with
+            # batching on ``sum(by_kind) > sent`` by design.
+            self._account_batch(payload, size, count)
+        else:
+            stats.by_kind[label] += count
+            stats.bytes_by_kind[label] += size * count
+
+        if not self._site_up[src]:
+            # A crashed site cannot send; callers normally guard this, but a
+            # late timer may race a crash.
+            stats.dropped_crashed += count
+            return
+        connected = self.partitions.connected
+        loss_rate = self.loss_rate
+        rng = self._rng
+        sample = self.latency.sample
+        transmission = None if self.bandwidth is None else size / self.bandwidth
+        engine = self.engine
+        now = engine.now
+        last_delivery = self._last_delivery
+        link_base = src * self.num_sites
+        for dst in dsts:
+            if dst != src:
+                if not connected(src, dst):
+                    stats.dropped_partition += 1
+                    continue
+                if loss_rate > 0 and rng.random() < loss_rate:
+                    stats.dropped_loss += 1
+                    continue
+                delay = sample(rng, src, dst)
+                if transmission is not None:
+                    delay += transmission
+            else:
+                delay = 0.0
+            deliver_at = now + delay
+            # FIFO clamp: never deliver before an earlier datagram on this link.
+            link = link_base + dst
+            floor = last_delivery[link]
+            if deliver_at < floor:
+                deliver_at = floor
+            last_delivery[link] = deliver_at
+            engine.schedule_at(
+                deliver_at, self._deliver, Datagram(src, dst, payload, label, now, deliver_at)
+            )
 
     def _deliver(self, datagram: Datagram) -> None:
         if not self._site_up[datagram.dst]:
@@ -217,9 +243,10 @@ class Network:
         self.stats.delivered += 1
         handler(datagram)
 
-    def _account_batch(self, payload: Any, size: int) -> None:
+    def _account_batch(self, payload: Any, size: int, count: int) -> None:
         """Split a batch datagram's accounting across its constituents.
 
+        ``count`` is the number of destinations the datagram fans out to.
         ``payload`` is the BatchEnvelope itself on a passthrough link, or
         the ARQ data frame wrapping one; anything else labeled as a batch
         is accounted opaquely.  The invariant ``sum(bytes_by_kind) ==
@@ -228,8 +255,8 @@ class Network:
         """
         batch = payload if isinstance(payload, BatchEnvelope) else getattr(payload, "payload", None)
         if not isinstance(batch, BatchEnvelope):
-            self.stats.by_kind[_BATCH_KIND] += 1
-            self.stats.bytes_by_kind[_BATCH_KIND] += size
+            self.stats.by_kind[_BATCH_KIND] += count
+            self.stats.bytes_by_kind[_BATCH_KIND] += size * count
             return
         by_kind = self.stats.by_kind
         bytes_by_kind = self.stats.bytes_by_kind
@@ -237,11 +264,11 @@ class Network:
         for item in batch.items:
             item_size = estimate_size(item)
             item_kind = _kind_of(item)
-            by_kind[item_kind] += 1
-            bytes_by_kind[item_kind] += item_size
+            by_kind[item_kind] += count
+            bytes_by_kind[item_kind] += item_size * count
             inner += item_size
-        by_kind[_BATCH_KIND] += 1
-        bytes_by_kind[_BATCH_KIND] += size - inner
+        by_kind[_BATCH_KIND] += count
+        bytes_by_kind[_BATCH_KIND] += (size - inner) * count
 
     def _check_site(self, site: int) -> None:
         if not 0 <= site < self.num_sites:

@@ -22,9 +22,10 @@ class Tagged:
     channel: str
     payload: Any
     kind: str
-    #: Memoized wire size: the network sizes every datagram, and a
-    #: multicast reuses one Tagged across all destinations, so the payload
-    #: traversal runs once per message instead of once per send.
+    #: Memoized wire size: a multicast reuses one Tagged across all
+    #: destinations, and on ARQ links each destination's frame sizes it
+    #: again, so the payload traversal runs once per message instead of
+    #: once per send.
     _size: int = field(default=-1, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
@@ -78,13 +79,13 @@ class ChannelRouter:
         kind: Optional[str] = None,
         include_self: bool = False,
     ) -> None:
-        # One envelope for the whole fan-out: allocation and the memoized
-        # wire size amortize across destinations (detcheck S302 audit).
+        # One envelope for the whole fan-out, handed down the stack as one
+        # call: allocation and sizing amortize across destinations
+        # (detcheck S302 audit).
         tagged = Tagged(channel, payload, kind or "")
-        for dst in dsts:
-            if dst == self.site and not include_self:
-                continue
-            self._sender.send(dst, tagged, kind)
+        if not include_self:
+            dsts = [dst for dst in dsts if dst != self.site]
+        self._sender.multicast(dsts, tagged, kind)
 
     def _dispatch(self, src: int, payload: Any) -> None:
         if isinstance(payload, Tagged):

@@ -10,11 +10,12 @@ The estimate is intentionally simple and deterministic: primitive sizes
 plus per-object framing overhead, recursing through containers and
 dataclass-style ``__dict__``/`__slots__`` objects.
 
-``estimate_size`` runs once per datagram per destination, which makes it
-one of the hottest functions in the simulator, so the traversal dispatches
-on exact type first and memoizes what is safe to memoize: UTF-8 lengths of
-(heavily repeated) strings and the ``__slots__`` tuple of each class.  The
-returned sizes are byte-for-byte identical to a naive traversal.
+``estimate_size`` runs once per network fan-out (and once per ARQ frame),
+which makes it one of the hottest functions in the simulator, so the
+traversal dispatches on exact type first and memoizes what is safe to
+memoize: UTF-8 lengths of (heavily repeated) strings and each class's
+``__wire_size__`` and ``__slots__``.  The returned sizes are byte-for-byte
+identical to a naive traversal.
 """
 
 from __future__ import annotations
@@ -47,11 +48,12 @@ _STR_SIZES: dict[str, int] = {}
 _STR_SIZES_LIMIT = 1 << 16
 
 #: Per-class traversal plan: ``cls -> (cls.__wire_size__, cls.__slots__)``
-#: (either may be None), resolved once per class.  A class may define
-#: ``__wire_size__(self) -> int`` to shortcut the walk over its fields; the
-#: contract is that it returns exactly what the generic traversal would —
-#: it exists for hot fixed-shape headers (vector clocks, message ids), not
-#: to change the cost model.
+#: (either may be None), resolved once per class that is neither a string,
+#: bytes nor a container, and looked up before those type checks.  A class
+#: may define ``__wire_size__(self) -> int`` to shortcut the walk over its
+#: fields; the contract is that it returns exactly what the generic
+#: traversal would — it exists for hot fixed-shape headers (vector clocks,
+#: message ids), not to change the cost model.
 _CLASS_PLAN: dict[type, tuple[Any, Any]] = {}
 
 
@@ -70,29 +72,33 @@ def estimate_size(payload: Any, _depth: int = 0) -> int:
             if len(_STR_SIZES) < _STR_SIZES_LIMIT:
                 _STR_SIZES[payload] = size
         return size
-    deeper = _depth + 1
-    if isinstance(payload, str):  # str subclass: size it, skip the cache
-        return len(payload.encode("utf-8", errors="replace"))
-    if isinstance(payload, bytes):
-        return len(payload)
-    if isinstance(payload, dict):
-        total = OBJECT_OVERHEAD
-        for key, value in payload.items():
-            total += estimate_size(key, deeper) + estimate_size(value, deeper)
-        return total
-    if isinstance(payload, (list, tuple, set, frozenset)):
-        total = OBJECT_OVERHEAD
-        for item in payload:
-            total += estimate_size(item, deeper)
-        return total
-    try:
-        sizer, slots = _CLASS_PLAN[cls]
-    except KeyError:
-        sizer = getattr(cls, "__wire_size__", None)
-        slots = getattr(cls, "__slots__", None)
-        _CLASS_PLAN[cls] = (sizer, slots)
+    plan = _CLASS_PLAN.get(cls)
+    if plan is None:
+        deeper = _depth + 1
+        if isinstance(payload, str):  # str subclass: size it, skip the cache
+            return len(payload.encode("utf-8", errors="replace"))
+        if isinstance(payload, bytes):
+            return len(payload)
+        if isinstance(payload, dict):
+            total = OBJECT_OVERHEAD
+            for key, value in payload.items():
+                total += estimate_size(key, deeper) + estimate_size(value, deeper)
+            return total
+        if isinstance(payload, (list, tuple, set, frozenset)):
+            total = OBJECT_OVERHEAD
+            for item in payload:
+                total += estimate_size(item, deeper)
+            return total
+        # Only classes that fall through every check above get a plan, so
+        # the lookup above can skip those checks for planned classes.
+        plan = _CLASS_PLAN[cls] = (
+            getattr(cls, "__wire_size__", None),
+            getattr(cls, "__slots__", None),
+        )
+    sizer, slots = plan
     if sizer is not None:
         return sizer(payload)
+    deeper = _depth + 1
     inner = getattr(payload, "__dict__", None)
     if inner is not None:
         total = OBJECT_OVERHEAD

@@ -218,6 +218,19 @@ class ReliableTransport:
             return
         self._admit(dst, state, payload, label)
 
+    def multicast(self, dsts: list[int], payload: Any, kind: Optional[str] = None) -> None:
+        """:meth:`send` ``payload`` to each of ``dsts``, in order.
+
+        Passthrough hands the whole fan-out to the network in one call; ARQ
+        sends per link, because each link frames the payload with its own
+        sequence number.
+        """
+        if self.passthrough:
+            self.network.multicast(self.site, dsts, payload, kind, include_self=True)
+            return
+        for dst in dsts:
+            self.send(dst, payload, kind)
+
     def reset(self) -> None:
         """Begin a new incarnation after a crash (drop all link state).
 

@@ -15,6 +15,10 @@ Determinism guarantees:
 
 Hot-path design (the whole library funnels through this loop):
 
+- **C-compared heap entries.**  The heap holds ``(time, seq, handle)``
+  tuples, so ``heapq`` orders them with the C tuple compare; ``seq`` is
+  unique, so a compare never reaches the handle, and an
+  :class:`EventHandle` has no ordering of its own.
 - **Lazy cancellation with bounded garbage.**  ``EventHandle.cancel`` leaves
   the heap entry in place (an O(log n) removal per cancel would dominate ARQ
   timer churn), but the engine counts cancelled residents and compacts the
@@ -53,10 +57,12 @@ class EventHandle:
     """A cancellable handle to a scheduled event.
 
     Cancellation is lazy: the heap entry stays in place but is skipped when
-    popped.  ``fired`` is True once the callback has run.  ``fire_at`` is the
-    real deadline: normally equal to ``time`` (the heap position), it is
-    moved forward by :meth:`SimulationEngine.reschedule` without touching the
-    heap — the engine re-sorts the entry when it surfaces.
+    popped.  ``fired`` is True once the callback has run.  ``time`` and
+    ``seq`` mirror the handle's ``(time, seq, handle)`` heap entry.
+    ``fire_at`` is the real deadline: normally equal to ``time`` (the heap
+    position), it is moved forward by :meth:`SimulationEngine.reschedule`
+    without touching the heap — the engine re-sorts the entry when it
+    surfaces.
     """
 
     __slots__ = ("time", "seq", "fn", "args", "cancelled", "fired", "fire_at", "_engine")
@@ -94,9 +100,6 @@ class EventHandle:
         """True while the event is scheduled and not yet fired/cancelled."""
         return not self.cancelled and not self.fired
 
-    def __lt__(self, other: "EventHandle") -> bool:
-        return (self.time, self.seq) < (other.time, other.seq)
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         state = "cancelled" if self.cancelled else ("fired" if self.fired else "pending")
         return f"<EventHandle t={self.fire_at:.3f} seq={self.seq} {state}>"
@@ -123,7 +126,7 @@ class SimulationEngine:
     compact_min = 64
 
     def __init__(self) -> None:
-        self._heap: list[EventHandle] = []
+        self._heap: list[tuple[float, int, EventHandle]] = []
         self._now = 0.0
         self._seq = 0
         self._running = False
@@ -149,9 +152,9 @@ class SimulationEngine:
             raise SimulationError(
                 f"cannot schedule at t={time} before current time t={self._now}"
             )
-        self._seq += 1
-        handle = EventHandle(time, self._seq, fn, args, self)
-        heapq.heappush(self._heap, handle)
+        self._seq = seq = self._seq + 1
+        handle = EventHandle(time, seq, fn, args, self)
+        heapq.heappush(self._heap, (time, seq, handle))
         return handle
 
     def reschedule(
@@ -207,19 +210,19 @@ class SimulationEngine:
         """
         heap = self._heap
         while heap:
-            head = heap[0]
+            head = heap[0][2]
             if head.cancelled:
                 heapq.heappop(heap)
                 self._cancelled_in_heap -= 1
                 continue
             if head.fire_at > head.time:
                 # Deferred timer surfacing at its old position: move it to
-                # its real deadline (new seq keeps same-time FIFO order).
-                heapq.heappop(heap)
-                self._seq += 1
-                head.time = head.fire_at
-                head.seq = self._seq
-                heapq.heappush(heap, head)
+                # its real deadline as a fresh entry (new seq keeps
+                # same-time FIFO order).
+                self._seq = seq = self._seq + 1
+                head.time = time = head.fire_at
+                head.seq = seq
+                heapq.heapreplace(heap, (time, seq, head))
                 continue
             return head
         return None
@@ -231,7 +234,7 @@ class SimulationEngine:
         """
         if self._settle_head() is None:
             return False
-        self._fire(heapq.heappop(self._heap))
+        self._fire(heapq.heappop(self._heap)[2])
         return True
 
     def _fire(self, handle: EventHandle) -> None:
@@ -284,7 +287,7 @@ class SimulationEngine:
                 if until is not None and head.time > until:
                     self._now = until
                     return RUN_HORIZON
-                self._fire(heapq.heappop(self._heap))
+                self._fire(heapq.heappop(self._heap)[2])
                 processed += 1
                 if stop_when is not None and stop_when():
                     return RUN_PREDICATE
@@ -304,11 +307,13 @@ class SimulationEngine:
     def _compact(self) -> None:
         """Purge cancelled entries and re-heapify.
 
-        ``heapify`` on the (time, seq) total order reproduces exactly the
-        pop order of the garbage-laden heap, so compaction is invisible to
-        the simulation (asserted by the determinism tests).
+        ``heapify`` on the unique ``(time, seq)`` prefix of each entry
+        reproduces exactly the pop order of the garbage-laden heap, so
+        compaction is invisible to the simulation (asserted by the
+        determinism tests).  Deferred entries keep their old position until
+        they surface, as they would have without compaction.
         """
-        self._heap = [h for h in self._heap if not h.cancelled]
+        self._heap = [entry for entry in self._heap if not entry[2].cancelled]
         heapq.heapify(self._heap)
         self._cancelled_in_heap = 0
         self.compactions += 1

@@ -94,3 +94,70 @@ def test_nested_scheduling_respects_time(delay_list):
     engine.run()
     assert fired_times == sorted(fired_times)
     assert len(fired_times) == len(delay_list)
+
+
+# One engine operation: arm a new timer at an absolute time, cancel or
+# re-arm an existing one (by index, modulo the timers armed so far), or let
+# the engine fire a few events.  Small integer times force many ties, and a
+# re-arm delay may land before or after the timer's current heap position.
+timer_ops = st.lists(
+    st.one_of(
+        st.tuples(st.just("at"), st.integers(0, 3)),
+        st.tuples(st.just("cancel"), st.integers(0, 5)),
+        st.tuples(st.just("reschedule"), st.integers(0, 5), st.integers(0, 3)),
+        st.tuples(st.just("run"), st.integers(1, 3)),
+    ),
+    min_size=10,
+    max_size=40,
+)
+
+
+def _run_timer_ops(ops, compact):
+    """Apply ``ops``, then drain; return the (timer, time) fire sequence.
+
+    Asserts along the way that a timer fires only while armed, exactly at
+    its last requested deadline, and that no armed timer is left unfired.
+    """
+    engine = SimulationEngine()
+    if compact:
+        engine.compact_min = 1
+        engine.compact_fraction = 0
+    else:
+        engine.compact_min = 10**9
+    handles = []
+    #: Per timer: the deadline it is armed for, or None (cancelled/fired).
+    deadlines = []
+    fired = []
+
+    def fire(timer):
+        assert deadlines[timer] == engine.now
+        deadlines[timer] = None
+        fired.append((timer, engine.now))
+
+    for op in ops:
+        if op[0] == "at":
+            time = engine.now + op[1]
+            deadlines.append(time)
+            handles.append(engine.schedule_at(time, fire, len(handles)))
+        elif op[0] == "run":
+            engine.run(max_events=op[1])
+        elif handles:
+            timer = op[1] % len(handles)
+            if op[0] == "cancel":
+                handles[timer].cancel()
+                deadlines[timer] = None
+            else:
+                handles[timer] = engine.reschedule(handles[timer], op[2], fire, timer)
+                deadlines[timer] = engine.now + op[2]
+    engine.run()
+    assert deadlines == [None] * len(deadlines)
+    assert engine.pending_count() == 0
+    return fired
+
+
+@settings(max_examples=300, deadline=None)
+@given(timer_ops)
+def test_reschedule_and_compaction_preserve_fire_order(ops):
+    """Compacting on every cancel fires the same sequence as never
+    compacting, under cancels and re-arms to later and earlier deadlines."""
+    assert _run_timer_ops(ops, compact=True) == _run_timer_ops(ops, compact=False)

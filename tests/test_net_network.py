@@ -5,7 +5,8 @@ from dataclasses import dataclass
 import pytest
 
 from repro.net.latency import FixedLatency, UniformLatency
-from repro.net.network import Network
+from repro.broadcast.batching import BATCH_KIND, BatchEnvelope
+from repro.net.network import Network, NetworkStats
 from repro.sim.engine import SimulationEngine
 from repro.sim.rng import RngRegistry
 
@@ -118,6 +119,71 @@ def test_unknown_site_rejected():
     engine, network, _ = build()
     with pytest.raises(ValueError):
         network.send(0, 9, Ping(1))
+
+
+def test_multicast_to_unknown_site_has_no_side_effects():
+    """The unknown site is rejected before anything is counted, drawn from
+    the RNG or scheduled: the network then behaves like an untouched twin."""
+    engine, network, inboxes = build(latency=UniformLatency(0.5, 1.5))
+    twin_engine, twin, twin_inboxes = build(latency=UniformLatency(0.5, 1.5))
+    with pytest.raises(ValueError):
+        network.multicast(0, [1, 2, 7], "x", "k")
+    assert network.stats.snapshot() == NetworkStats().snapshot()
+    assert engine.pending_count() == 0
+    network.send(0, 1, Ping(1))
+    twin.send(0, 1, Ping(1))
+    engine.run()
+    twin_engine.run()
+    assert [d.deliver_time for d in inboxes[1]] == [d.deliver_time for d in twin_inboxes[1]]
+
+
+@pytest.mark.parametrize(
+    "setup, include_self",
+    [
+        pytest.param({}, False, id="plain"),
+        pytest.param({"loss_rate": 0.3}, False, id="loss"),
+        pytest.param({"partition": [[0, 1], [2, 3, 4]]}, False, id="partition"),
+        pytest.param({"crashed": 0}, False, id="crashed-sender"),
+        pytest.param({"bandwidth": 20.0}, False, id="bandwidth"),
+        pytest.param({}, True, id="include-self"),
+        pytest.param({"batch": True}, False, id="batch"),
+    ],
+)
+def test_multicast_matches_a_loop_of_sends(setup, include_self):
+    """A fan-out accounts once but must count, draw and schedule exactly
+    like one send per destination in order (same RNG draw order)."""
+    setup = dict(setup)
+    partition = setup.pop("partition", None)
+    crashed = setup.pop("crashed", None)
+    batch = setup.pop("batch", False)
+
+    def twin():
+        engine = SimulationEngine()
+        network = Network(engine, 5, latency=UniformLatency(0.5, 1.5), rng=RngRegistry(5), **setup)
+        arrivals = []
+        for site in range(5):
+            network.attach(site, lambda d, site=site: arrivals.append((site, d.deliver_time)))
+        if partition is not None:
+            network.partitions.split(partition)
+        if crashed is not None:
+            network.set_site_up(crashed, False)
+        return engine, network, arrivals
+
+    dsts = [0, 1, 2, 3, 4]
+    fanned_engine, fanned, fanned_arrivals = twin()
+    looped_engine, looped, looped_arrivals = twin()
+    for n in range(30):
+        payload = BatchEnvelope(n, (Ping(n), Ping(-n))) if batch else Ping(n)
+        kind = BATCH_KIND if batch else None
+        fanned.multicast(0, dsts, payload, kind, include_self=include_self)
+        for dst in dsts:
+            if dst != 0 or include_self:
+                looped.send(0, dst, payload, kind)
+    fanned_engine.run()
+    looped_engine.run()
+    assert fanned.stats.snapshot() == looped.stats.snapshot()
+    assert fanned.stats.bytes_by_kind == looped.stats.bytes_by_kind
+    assert fanned_arrivals == looped_arrivals
 
 
 def test_kind_defaults_to_type_name():
