@@ -8,19 +8,33 @@ message from ``j`` with clock ``V`` is deliverable at site ``k`` when
 - ``V[x] <= local[x]`` for all ``x != j``  (everything the sender had
   delivered, we have delivered).
 
-Deliverability is tracked *incrementally*: a held-back message counts the
-clock entries still blocking it (its **deficit**) and indexes itself under
-each missing ``(site, value)`` pair.  Every local delivery advances exactly
-one clock entry, so it pops exactly one waiting-index bucket and decrements
-the deficits found there; a message whose deficit reaches zero joins an
-arrival-ordered ready heap.  Delivery work is therefore proportional to the
-messages actually unblocked, not to a rescan of the whole holdback queue —
-the per-event cost no longer degrades as bursts deepen the queue.  Delivery
-*order* is unchanged from the historical scan-and-restart loop: that loop
-always delivered the earliest-arrived deliverable message next, and
-deliverability is monotone (a deliverable message stays deliverable until
-delivered), so popping the minimum arrival rank from the ready heap yields
-the identical sequence.
+Both conditions together say the sender's entry is the *only* one of ``V``
+ahead of the local clock, and exactly one ahead, so the **readiness test**
+(:func:`_ready`) is ``V[j] == local[j] + 1`` plus a count of the entries
+ahead, ``sum(map(operator.gt, V, local)) == 1``, which runs in C instead of
+a Python loop over all n entries.
+
+Most messages arrive ready.  When nothing is waiting to deliver (the ready
+heap is empty and no delta is parked for reconstruction), a ready arrival
+takes the **direct path**: it consumes an arrival rank and is delivered at
+once, with no holdback bookkeeping and no heap round-trip.  The heap guard
+is load-bearing: :meth:`CausalBroadcast.fast_forward` can leave ready
+survivors on the heap (they deliver with the next arrival, not at the
+fast-forward), and those earlier arrivals must deliver first.
+
+A message that is not ready is tracked *incrementally*: it counts the clock
+entries still blocking it (its **deficit**) and indexes itself under each
+missing ``(site, value)`` pair.  Every local delivery advances exactly one
+clock entry, so it pops exactly one waiting-index bucket and decrements the
+deficits found there; a message whose deficit reaches zero joins an
+arrival-ordered ready heap.  Releasing held-back messages therefore costs
+work proportional to the messages actually unblocked, not a rescan of the
+whole holdback queue.  Delivery *order* is unchanged from the historical
+scan-and-restart loop: that loop always delivered the earliest-arrived
+deliverable message next, and deliverability is monotone (a deliverable
+message stays deliverable until delivered), so popping the minimum arrival
+rank from the ready heap, or delivering a ready arrival directly when no
+earlier arrival is ready, yields the identical sequence.
 
 As the paper requires for the CBP protocol, the message clocks are exposed
 to the application layer: the upward callback receives the stamped envelope,
@@ -44,6 +58,7 @@ actually be smaller on the wire.
 from __future__ import annotations
 
 import heapq
+import operator
 import sys
 from dataclasses import dataclass, field
 from typing import Any, Callable, Optional
@@ -131,6 +146,13 @@ class DeltaCausalEnvelope:
                 + estimate_size(self.kind)
             )
         return self._size
+
+
+def _ready(stamped: list[int], local: list[int], sender: int) -> bool:
+    """True when a message from ``sender`` stamped ``stamped`` is causally
+    deliverable against the delivered-vector ``local``: it is the sender's
+    next broadcast and no other entry of the stamp is ahead."""
+    return stamped[sender] == local[sender] + 1 and sum(map(operator.gt, stamped, local)) == 1
 
 
 class _Held:
@@ -270,9 +292,18 @@ class CausalBroadcast:
             envelope = payload
             if self._delta_enabled:
                 self._note_recon(message.sender, envelope.vc)
-        self._admit(message, envelope)
-        if self._recon_pending:
-            self._drain_recon(message.sender)
+        if (
+            not self._heap
+            and not self._recon_pending
+            and _ready(envelope.vc.entries, self._clock.entries, message.sender)
+        ):
+            # Direct path: no earlier arrival is ready, so this one is next.
+            self._arrivals += 1
+            self._apply(message, envelope)
+        else:
+            self._admit(message, envelope)
+            if self._recon_pending:
+                self._drain_recon(message.sender)
         self._pump()
 
     def _decode_delta(self, message: BroadcastMessage) -> Optional[CausalEnvelope]:
@@ -331,9 +362,13 @@ class CausalBroadcast:
 
     def _register(self, held: _Held) -> None:
         sender = held.message.sender
-        # Hot path: raw entry lists, one scan, no generator machinery.
         stamped = held.envelope.vc.entries
         local = self._clock.entries
+        if _ready(stamped, local, sender):
+            held.deficit = 0
+            heapq.heappush(self._heap, (held.order, held))
+            return
+        # Blocked, so at least one entry is missing: index it under each.
         deficit = 0
         seq = stamped[sender]
         if seq != local[sender] + 1:
@@ -349,8 +384,6 @@ class CausalBroadcast:
                 deficit += 1
                 self._waiting.setdefault((site, seen), []).append(held)
         held.deficit = deficit
-        if deficit == 0:
-            heapq.heappush(self._heap, (held.order, held))
 
     def _pump(self) -> None:
         """Deliver ready messages in arrival order until the heap drains."""

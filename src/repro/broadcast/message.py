@@ -5,9 +5,13 @@ Every broadcast primitive wraps application payloads in a
 unique because each site numbers its own broadcasts.
 
 These headers are allocated once per broadcast and touched on every
-delivery, so both classes are ``__slots__`` dataclasses and the ``kind``
-label is interned: the accounting layer compares kinds millions of times
-per run, and interning makes those comparisons pointer checks while
+delivery.  :class:`MessageId` is a :class:`typing.NamedTuple`, so hashing,
+equality and ordering run in C (the reliable layer's duplicate filter
+hashes an id per delivery); its hash is ``hash((sender, seq))``, the same
+value the frozen dataclass it replaces computed, so set iteration orders are
+unchanged.  :class:`BroadcastMessage` is a ``__slots__`` dataclass whose
+``kind`` label is interned: the accounting layer compares kinds millions of
+times per run, and interning makes those comparisons pointer checks while
 deduplicating the strings across every message of a run.
 """
 
@@ -15,13 +19,12 @@ from __future__ import annotations
 
 import sys
 from dataclasses import dataclass, field
-from typing import Any
+from typing import Any, NamedTuple
 
 from repro.net.sizes import OBJECT_OVERHEAD, estimate_size
 
 
-@dataclass(frozen=True, order=True, slots=True)
-class MessageId:
+class MessageId(NamedTuple):
     """Globally unique broadcast message identity."""
 
     sender: int
@@ -31,8 +34,8 @@ class MessageId:
         return f"m{self.sender}.{self.seq}"
 
     def __wire_size__(self) -> int:
-        # Fixed shape (two ints behind __slots__): shortcut for the size
-        # estimator, byte-identical to its generic traversal.
+        # Fixed shape (a pair of ints): byte-identical to the estimator's
+        # tuple branch, which is what estimate_size(id) itself takes.
         return OBJECT_OVERHEAD + 16
 
 

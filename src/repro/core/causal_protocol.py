@@ -63,7 +63,7 @@ class ProtocolInvariantError(AssertionError):
     """A protocol safety invariant was violated (always a bug)."""
 
 
-@dataclass
+@dataclass(slots=True)
 class _TxState:
     """Per-site bookkeeping for one in-flight update transaction."""
 
@@ -181,14 +181,14 @@ class CausalBroadcastReplica(Replica):
         sender = message.sender
         clock = envelope.vc
         payload = envelope.payload
-        if isinstance(payload, CbpNack):
+        if isinstance(payload, CbpNull):
+            pass  # pure implicit-acknowledgment carrier (most deliveries)
+        elif isinstance(payload, CbpNack):
             self._on_nack(payload)
         elif isinstance(payload, CbpWriteSet):
             self._on_write_set(payload, clock)
         elif isinstance(payload, CbpCommitRequest):
             self._on_commit_request(payload, clock)
-        elif isinstance(payload, CbpNull):
-            pass  # pure implicit-acknowledgment carrier
         else:
             raise RuntimeError(f"site {self.site}: unexpected CBP payload {payload!r}")
         # Every delivered message is a potential implicit acknowledgment for
@@ -196,11 +196,27 @@ class CausalBroadcastReplica(Replica):
         self._update_echoes(sender, clock)
 
     def _update_echoes(self, sender: int, clock: VectorClock) -> None:
+        # Insertion order matters: one delivery can complete several
+        # tallies, and the commits it triggers are observable in order.
+        # Only an echo that brings the tally up to the view's size can
+        # commit; below that _check_commit would return with no effect, so
+        # it is not called (view changes re-check every state).
+        entries = clock.entries
+        view_size = len(self.view_members)
         for state in list(self._states.values()):
-            if state.cr_entry is None or state.committed or state.tx in self._dead:
+            echoes = state.echoes
+            if sender in echoes:
+                continue  # the common case: this sender already echoed
+            cr_entry = state.cr_entry
+            if (
+                cr_entry is None
+                or entries[state.home] < cr_entry
+                or state.committed
+                or state.tx in self._dead
+            ):
                 continue
-            if sender not in state.echoes and clock.dominates_entry(state.home, state.cr_entry):
-                state.echoes.add(sender)
+            echoes.add(sender)
+            if len(echoes) >= view_size:
                 self._check_commit(state)
 
     # -- write delivery and conflict resolution ------------------------------------
@@ -401,18 +417,11 @@ class CausalBroadcastReplica(Replica):
             return
         if state.waiting:
             return
-        # Length guards first: this check runs on every grant and every
-        # echo, and rebuilding these sets each time made the commit path
-        # O(n^2) per transaction.  ``granted``/``echoes`` are sets and
-        # ``writes`` is keyed by object, so equal length is necessary —
-        # the full comparisons below remain authoritative.
-        if len(state.granted) != len(state.writes) or set(state.granted) != set(
-            state.writes
-        ):
+        # Set views, no rebuilt sets: this check runs on every grant and
+        # every completed echo tally.
+        if state.granted != state.writes.keys():
             return
-        if len(state.echoes) < len(self.view_members) or not set(
-            self.view_members
-        ) <= state.echoes:
+        if not self.view_member_set <= state.echoes:
             return
         state.committed = True
         installed = self.install_writes(state.tx, state.writes)

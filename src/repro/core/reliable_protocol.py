@@ -234,12 +234,10 @@ class ReliableBroadcastReplica(Replica):
         self._check_round(tx, round_)
 
     def _check_round(self, tx: Transaction, round_: _WriteRound) -> None:
-        # Length first: every ack re-checks the round, and building the
-        # member set per ack made a write round O(n^2).  The superset
-        # check stays authoritative (acks from departed sites linger).
-        if len(round_.acks) >= len(self.view_members) and round_.acks >= set(
-            self.view_members
-        ):
+        # Every ack re-checks the round against the maintained member set
+        # (a set comparison rejects a smaller tally on its length first).
+        # Test membership, not the count: acks from departed sites linger.
+        if round_.acks >= self.view_member_set:
             rounds = self._write_round.get(tx.tx_id)
             if rounds is not None:
                 rounds.pop(round_.key, None)
@@ -520,16 +518,12 @@ class ReliableBroadcastReplica(Replica):
             # transfer).  Our own transactions are aborted by the view
             # change; remote state waits for the home or the orphan watchdog.
             return
-        if len(state.votes) < len(self.view_members):
-            # Cheap necessary condition: a tally with fewer entries than
-            # the view cannot cover it.  Every vote triggers a tally
-            # check, so building the member/voter sets here made a commit
-            # round O(n^2); this guard keeps all but the deciding vote at
-            # O(1) while the subset check below stays authoritative
-            # (stragglers from departed sites can inflate the count).
-            return
-        members = set(self.view_members)
-        if not members <= set(state.votes):
+        # Every vote re-checks the tally against the maintained member set
+        # (the keys view rejects a smaller tally on its length first).
+        # Test membership, not the count: stragglers from departed sites
+        # can inflate it.
+        members = self.view_member_set
+        if not state.votes.keys() >= members:
             return
         state.decided = True
         if all(state.votes[member] for member in members):

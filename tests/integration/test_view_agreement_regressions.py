@@ -3,7 +3,7 @@ the installed view, replayed deterministically.
 
 Each test asserts the correct outcome and is a strict xfail until the
 view-agreement bug behind it is fixed, so the suite flags the fix the day
-it lands (then drop the marker).  Both run RBP with every opt-in knob at
+it lands (then drop the marker).  All run RBP with every opt-in knob at
 its default except the failure detector and ``relay``.
 """
 
@@ -115,6 +115,56 @@ def test_rejoin_during_vote_tally_keeps_atomicity():
     )
     result = cluster.run(max_time=300_000.0, stop_when=cluster.await_specs(1))
 
+    assert result.serialization.ok, result.serialization.explain()
+    assert result.converged
+    assert result.incomplete_specs == 0
+
+
+@pytest.mark.xfail(
+    strict=True,
+    reason="site 2 rejoins 2 ms after T2 (home site 1) is submitted: the first "
+    "workload ends with live replicas diverged (converged=False), the second "
+    "aborts T2#1 on view loss and ends with a 1SR version conflict on x0 "
+    "between T2#1 and T2#2",
+)
+@pytest.mark.parametrize(
+    "fault, workload",
+    [
+        ((2, 641.0, 1942.0), [(0, 0, 0.0), (0, 0, 0.0), (1, 0, 2581.0)]),
+        ((2, 640.0, 1943.0), [(0, 0, 0.0), (0, 1, 0.0), (1, 0, 2581.0)]),
+    ],
+)
+def test_rejoin_before_a_late_write_keeps_1sr_and_converges(fault, workload):
+    """From ``tests/properties/test_fault_props.py::
+    test_random_crash_recovery_preserves_invariants`` (same config):
+    ``fault`` is ``(victim, crash_at, recovery_delay)`` and each workload
+    entry is ``(home, key index, submit_at)``, exactly as hypothesis drew
+    them."""
+    victim, crash_at, recovery_delay = fault
+    cluster = Cluster(
+        ClusterConfig(
+            protocol="rbp",
+            num_sites=4,
+            num_objects=12,
+            seed=3,
+            enable_failure_detector=True,
+            fd_interval=20.0,
+            fd_timeout=80.0,
+            relay=True,
+            max_attempts=30,
+            retry_backoff=10.0,
+        )
+    )
+    cluster.crash_site(victim, at=crash_at)
+    cluster.recover_site(victim, at=crash_at + recovery_delay)
+    for index, (home, key, at) in enumerate(workload):
+        cluster.submit(
+            TransactionSpec.make(
+                f"T{index}", home, read_keys=[f"x{key}"], writes={f"x{key}": index}
+            ),
+            at=at,
+        )
+    result = cluster.run(max_time=300_000.0, stop_when=cluster.await_specs(len(workload)))
     assert result.serialization.ok, result.serialization.explain()
     assert result.converged
     assert result.incomplete_specs == 0

@@ -165,3 +165,120 @@ def run_schedule_lossy(stack, schedule):
         return run_schedule(stack, schedule, seed=9)
     finally:
         me.BroadcastHarness = original
+
+
+# -- causal delivery order against the historical algorithm --------------------
+
+
+class _StubReliable:
+    """Just enough of ReliableBroadcast to drive one CausalBroadcast by hand."""
+
+    def __init__(self, num_sites):
+        self.site = 0
+        self.num_sites = num_sites
+        self.deliver = None
+
+    def set_deliver(self, fn):
+        self.deliver = fn
+
+
+def _draw_causal_history(data, num_sites):
+    """Random broadcasts by ``num_sites`` sites, each stamped with its
+    sender's delivered clock plus the sender's own send sequence.
+
+    Returns the messages as ``(uid, sender, stamp)`` and every delivered
+    clock some site held along the way (consistent cuts of the history).
+    """
+    delivered = [[0] * num_sites for _ in range(num_sites)]
+    sent = [0] * num_sites
+    messages = []
+    seen = [set() for _ in range(num_sites)]
+    cuts = []
+    for _ in range(data.draw(st.integers(1, 30), label="steps")):
+        site = data.draw(st.integers(0, num_sites - 1), label="site")
+        local = delivered[site]
+        ready = [
+            m
+            for m in messages
+            if m[0] not in seen[site]
+            and m[2][m[1]] == local[m[1]] + 1
+            and all(m[2][x] <= local[x] for x in range(num_sites) if x != m[1])
+        ]
+        if ready and data.draw(st.booleans(), label="deliver"):
+            uid, sender, _ = data.draw(st.sampled_from(ready), label="message")
+            seen[site].add(uid)
+            local[sender] += 1
+            cuts.append(list(local))
+        else:
+            sent[site] += 1
+            stamp = list(local)
+            stamp[site] = sent[site]
+            messages.append((len(messages), site, tuple(stamp)))
+    return messages, cuts
+
+
+def _scan_and_restart(num_sites, arrivals, fast_forward_at, cut):
+    """The historical holdback loop: after each arrival, deliver the
+    earliest-arrived deliverable message and rescan from the start.  A
+    fast-forward jumps the clock to ``max(local, cut)`` just before arrival
+    ``fast_forward_at`` and drops held messages it covers."""
+    local = [0] * num_sites
+    pending = []
+    order = []
+    jumped_to = None
+    for index, message in enumerate(arrivals):
+        if index == fast_forward_at:
+            jumped_to = [max(a, b) for a, b in zip(local, cut)]
+            local = list(jumped_to)
+            pending = [m for m in pending if m[2][m[1]] > local[m[1]]]
+        pending.append(message)
+        rescan = True
+        while rescan:
+            rescan = False
+            for held in pending:
+                uid, sender, stamp = held
+                if stamp[sender] == local[sender] + 1 and all(
+                    stamp[x] <= local[x] for x in range(num_sites) if x != sender
+                ):
+                    pending.remove(held)
+                    local[sender] += 1
+                    order.append(uid)
+                    rescan = True
+                    break
+    return order, len(pending), jumped_to
+
+
+@settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(data=st.data())
+def test_causal_delivery_order_matches_scan_and_restart(data):
+    """The incremental holdback, its readiness test and the direct-delivery
+    path deliver exactly what the historical scan-and-restart loop would,
+    in the same order, including after a recovery fast-forward that
+    leaves ready survivors behind."""
+    from repro.broadcast.causal import CausalBroadcast, CausalEnvelope
+    from repro.broadcast.message import BroadcastMessage, MessageId
+    from repro.broadcast.vector_clock import VectorClock
+
+    num_sites = data.draw(st.integers(2, 6), label="num_sites")
+    messages, cuts = _draw_causal_history(data, num_sites)
+    arrivals = data.draw(st.permutations(messages), label="arrivals")
+    fast_forward_at = None
+    cut = None
+    if cuts and data.draw(st.booleans(), label="fast_forward"):
+        fast_forward_at = data.draw(st.integers(1, len(arrivals)), label="at")
+        cut = data.draw(st.sampled_from(cuts), label="cut")
+    expected, still_held, jumped_to = _scan_and_restart(
+        num_sites, arrivals, fast_forward_at, cut
+    )
+
+    stub = _StubReliable(num_sites)
+    causal = CausalBroadcast(stub)
+    got = []
+    causal.set_deliver(lambda message, envelope: got.append(envelope.payload))
+    for index, (uid, sender, stamp) in enumerate(arrivals):
+        if index == fast_forward_at and jumped_to is not None:
+            causal.fast_forward(list(jumped_to))
+        envelope = CausalEnvelope(VectorClock(stamp), uid, "msg")
+        stub.deliver(BroadcastMessage(MessageId(sender, stamp[sender]), envelope))
+    assert got == expected
+    assert causal.pending_count() == still_held

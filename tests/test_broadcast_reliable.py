@@ -101,3 +101,30 @@ def test_reliable_broadcast_over_lossy_links(harness_factory):
     h.run(until=100000.0)
     for site in range(3):
         assert len(h.payloads(site)) == 20
+
+
+def test_message_id_contract():
+    """MessageId is a (sender, seq) tuple: its hash is the pair's (so sets
+    of ids iterate as they always did), it orders by sender then seq, and
+    its wire size is two ints behind one object overhead either way the
+    size model reaches it."""
+    from repro.broadcast.message import BroadcastMessage, MessageId
+    from repro.net.sizes import OBJECT_OVERHEAD, estimate_size
+
+    mid = MessageId(3, 41)
+    assert hash(mid) == hash((3, 41))
+    assert (mid.sender, mid.seq) == (3, 41)
+    assert str(mid) == "m3.41"
+    assert sorted([MessageId(2, 9), MessageId(1, 7), MessageId(2, 1)]) == [
+        MessageId(1, 7),
+        MessageId(2, 1),
+        MessageId(2, 9),
+    ]
+    assert MessageId(1, 2) < MessageId(1, 3) < MessageId(2, 0)
+    assert estimate_size(mid) == mid.__wire_size__() == OBJECT_OVERHEAD + 16
+    message = BroadcastMessage(mid, Word("hi"))
+    assert message.sender == 3 and message.seq == 41
+    assert str(message) == "m3.41[word]"
+    # Envelope: overhead + id + payload (overhead + "hi" + "word") + kind.
+    assert message.__wire_size__() == OBJECT_OVERHEAD + 24 + (OBJECT_OVERHEAD + 2 + 4) + 4
+    assert message.__wire_size__() == estimate_size(message)

@@ -1,6 +1,9 @@
 """Protocol tests for CBP (causal broadcast + implicit acknowledgments)."""
 
-
+from repro.broadcast.causal import CausalEnvelope
+from repro.broadcast.message import BroadcastMessage, MessageId
+from repro.broadcast.vector_clock import VectorClock
+from repro.core.events import CbpNull
 from repro.core.transaction import AbortReason
 
 
@@ -219,3 +222,49 @@ def test_adopt_reaps_states_whose_home_left_the_view(cluster_factory, make_spec)
     rejoiner.adopt_protocol_state(exported)
     assert "T1" not in rejoiner._states
     assert not rejoiner.locks.queued("x0")
+
+
+def _stalled_cohort(cluster_factory, make_spec):
+    """Site 1 of a quiet 3-site CBP cluster holding T1 (home 0) with every
+    echo but site 2's: no heartbeats, so nothing ever brings site 2's."""
+    cluster = cluster_factory("cbp", cbp_heartbeat=None)
+    cluster.submit(make_spec("T1", 0, writes={"x0": 1}))
+    cluster.run(max_time=500.0)
+    cohort = cluster.replicas[1]
+    (state,) = cohort._states.values()
+    assert state.echoes == {0, 1} and state.cr_entry is not None
+    return cohort, state
+
+
+def _deliver_null(replica, sender, seq, entries):
+    envelope = CausalEnvelope(VectorClock(entries), CbpNull(sender))
+    replica._on_deliver(BroadcastMessage(MessageId(sender, seq), envelope), envelope)
+
+
+def test_commit_lands_exactly_on_the_last_missing_echo(cluster_factory, make_spec):
+    """The echo tally only checks for commit once it can cover the view:
+    deliveries that bring no new member's echo leave T1 pending, and the
+    one that brings the last missing member's echo commits it at once."""
+    cohort, state = _stalled_cohort(cluster_factory, make_spec)
+    home_entry = state.cr_entry
+    # An echo from a member already counted: no commit.
+    _deliver_null(cohort, 0, 99, [home_entry + 1, 0, 0])
+    # Site 2's message, but causally before the commit request: no echo.
+    _deliver_null(cohort, 2, 1, [home_entry - 1, 0, 1])
+    assert not state.committed and state.echoes == {0, 1}
+    assert cohort.store.read("x0").value != 1
+    # Site 2's next message follows the commit request: the last echo.
+    _deliver_null(cohort, 2, 2, [home_entry, 0, 2])
+    assert state.committed and state.tx in cohort._finished
+    assert cohort.store.read("x0").value == 1
+
+
+def test_departure_of_the_only_missing_echo_commits_on_view_change(
+    cluster_factory, make_spec
+):
+    """When the one member whose echo is missing leaves the view, the
+    remaining tally covers the new view and the view change commits."""
+    cohort, state = _stalled_cohort(cluster_factory, make_spec)
+    cohort.on_view_change([0, 1], has_quorum=True)
+    assert state.committed and state.tx in cohort._finished
+    assert cohort.store.read("x0").value == 1

@@ -1,5 +1,6 @@
 """Tests for the repository tooling scripts."""
 
+import json
 import pathlib
 import subprocess
 import sys
@@ -35,6 +36,25 @@ def test_bench_report_quick_smoke():
     assert proc.returncode == 0, proc.stdout + proc.stderr
     assert "perf suite" in proc.stdout
     assert "engine_churn" in proc.stdout
+
+
+def test_perfbench_fingerprints_against_itself(tmp_path):
+    """One benchmark shard's digest matches itself, and a changed digest
+    is named and fails the comparison."""
+    args = ("--seed", "1", "--workload", "lan_rbp", "--shard", "0")
+    first = run_script("perfbench_fingerprints.py", *args)
+    assert first.returncode == 0, first.stderr
+    digests = json.loads(first.stdout)
+    assert list(digests) == ["lan_rbp/0"]
+    reference = tmp_path / "fingerprints.json"
+    reference.write_text(first.stdout)
+    again = run_script("perfbench_fingerprints.py", *args, "--against", str(reference))
+    assert again.returncode == 0, again.stderr
+    assert json.loads(again.stdout) == digests
+    reference.write_text(json.dumps({"lan_rbp/0": "0" * 64}))
+    changed = run_script("perfbench_fingerprints.py", *args, "--against", str(reference))
+    assert changed.returncode == 1
+    assert "lan_rbp/0" in changed.stderr
 
 
 def test_run_experiments_single_experiment():
