@@ -1,12 +1,38 @@
-"""Heartbeat failure detector.
+"""Heartbeat failure detector with implicit heartbeats.
 
 Implements an eventually-perfect-style detector (class <>P in practice):
-every site multicasts heartbeats and suspects peers it has not heard from
-within a timeout.  Under the simulation's bounded latencies the detector is
-accurate after a crash-free prefix, which is what the membership service
-needs; deterministic detectors are impossible in pure asynchrony
-[CT96, CHTCB96], which is exactly why the paper's CBP avoids relying on one
-for commitment.
+every site suspects peers it has not heard from within a timeout.  Under the
+simulation's bounded latencies the detector is accurate after a crash-free
+prefix, which is what the membership service needs; deterministic detectors
+are impossible in pure asynchrony [CT96, CHTCB96], which is exactly why the
+paper's CBP avoids relying on one for commitment.
+
+Liveness rides on the traffic the system already sends, the paper's
+implicit-acknowledgment idea applied to failure detection (and the one SWIM
+[DGM02] uses):
+
+- **Any inbound payload is a heartbeat.**  The site's
+  :class:`~repro.net.router.ChannelRouter` calls :meth:`FailureDetector.refresh`
+  for every payload a peer delivers, on any channel, so a vote, a commit
+  request, a CBP null message or a join request all stamp the sender's
+  last-heard time and clear its suspicion on arrival.
+- **Explicit heartbeats only on idle links.**  Each tick multicasts a
+  :class:`Heartbeat` only to the peers the router sent nothing to since the
+  previous tick.  "Since" is measured on the router's send sequence, not on
+  the clock, so a send at the very instant of a tick counts towards exactly
+  one tick whichever of the two events fires first (CBP's null-message loop
+  and this tick share a grid whenever ``cbp_heartbeat == fd_interval``), and
+  the detector's own heartbeat never hides an idle link from the next tick.
+
+**Worst-case silent gap.**  On an idle link a peer hears from us once per
+``interval``.  On a live link the gap grows to up to about two intervals: a
+payload sent just after a tick keeps the next tick quiet, and the tick after
+that heartbeats only if nothing else was sent.  Add the latency jitter and
+that gap must stay below ``timeout`` or a live peer is suspected; the
+constructor therefore requires ``timeout > 2 * interval`` (every in-repo
+configuration uses at least 3.5x).  Crash detection is unaffected: a crashed
+site is suspected within ``timeout`` plus one scan interval of the last
+payload it sent.
 """
 
 from __future__ import annotations
@@ -52,8 +78,11 @@ class FailureDetector(Process):
         enabled: bool = True,
     ):
         super().__init__(engine, f"fd{site}")
-        if timeout <= interval:
-            raise ValueError("timeout must exceed the heartbeat interval")
+        if timeout <= 2 * interval:
+            raise ValueError(
+                "timeout must exceed twice the heartbeat interval, the worst-case "
+                "silent gap on a live link"
+            )
         self.router = router
         self.site = site
         self.num_sites = num_sites
@@ -67,7 +96,11 @@ class FailureDetector(Process):
         # The heartbeat fan-out list never changes; building it afresh on
         # every tick cost an O(n) allocation per site per interval.
         self._peers = tuple(peer for peer in range(num_sites) if peer != site)
+        #: Router send sequence at the end of the previous tick: a peer whose
+        #: latest send is no later than this was idle for the whole interval.
+        self._quiet_since = 0
         router.register(CHANNEL, self._on_heartbeat)
+        router.set_inbound(self.refresh)
         if enabled:
             self.schedule(self.interval, self._tick)
 
@@ -75,20 +108,27 @@ class FailureDetector(Process):
         """Enable a detector constructed with ``enabled=False``."""
         if not self.enabled:
             self.enabled = True
-            for peer in self._last_heard:
-                self._last_heard[peer] = self.now
+            self._reset_clocks()
             self.schedule(self.interval, self._tick)
 
+    def _reset_clocks(self) -> None:
+        for peer in self._last_heard:
+            self._last_heard[peer] = self.now
+        self._quiet_since = self.router.sends
+
     def _on_heartbeat(self, src: int, payload: object) -> None:
-        self._last_heard[src] = self.now
-        if src in self.suspected:
-            self.suspected.discard(src)
-            self._notify()
+        """Nothing left to do: the router's inbound hook already refreshed
+        ``src`` for this payload, as for every other."""
 
     def _tick(self) -> None:
         if not self.enabled:
             return
-        self.router.multicast(self._peers, CHANNEL, _HEARTBEAT, "fd.heartbeat")
+        last_sent = self.router.last_sent
+        quiet_since = self._quiet_since
+        idle = [peer for peer in self._peers if last_sent.get(peer, -1) <= quiet_since]
+        if idle:
+            self.router.multicast(idle, CHANNEL, _HEARTBEAT, "fd.heartbeat")
+        self._quiet_since = self.router.sends
         newly = {
             peer
             for peer, heard in self._last_heard.items()
@@ -100,13 +140,15 @@ class FailureDetector(Process):
         self.schedule(self.interval, self._tick)
 
     def refresh(self, peer: int) -> None:
-        """Direct proof of life for ``peer`` outside the heartbeat channel
-        (e.g. a membership join request).  Treat it like a heartbeat:
-        without this, a recovering site that just announced itself can be
-        re-suspected — and evicted from the view — on the coordinator's
-        next tick, before its own heartbeats resume.  Messages multicast
-        during that eviction window never reach the joiner, and the state
-        transfer's clock cut does not cover them: a permanent causal gap.
+        """Proof of life for ``peer``: the router calls this for every
+        payload ``peer`` delivers, on any channel, before its handler runs.
+
+        Suspicion clears on arrival, so the handler already sees the peer as
+        live.  That ordering matters for a membership join request: were
+        the joiner still suspected, the coordinator would re-evict it from
+        the very view it is being admitted to, messages multicast during
+        that eviction window would never reach it, and the state transfer's
+        clock cut does not cover them: a permanent causal gap.
         """
         if peer == self.site or peer not in self._last_heard:
             return
@@ -131,8 +173,7 @@ class FailureDetector(Process):
             listener(set(self.suspected))
 
     def on_recover(self) -> None:
-        for peer in self._last_heard:
-            self._last_heard[peer] = self.now
+        self._reset_clocks()
         self.suspected.clear()
         if self.enabled:
             self.schedule(self.interval, self._tick)

@@ -171,10 +171,9 @@ class MembershipService(Process):
                 # re-propose past our counter.
                 self.announce_join()
         elif isinstance(payload, JoinRequest):
-            # The request is proof of life: refresh the detector first, or
-            # stale suspicion evicts the joiner from the very next view
-            # (see FailureDetector.refresh on why that loses messages).
-            self.detector.refresh(payload.site)
+            # The router's inbound hook has already refreshed the joiner in
+            # the detector, so stale suspicion cannot evict it from the view
+            # it is being admitted to (see FailureDetector.refresh).
             self._on_join_request(payload)
 
     def _on_join_request(self, request: JoinRequest) -> None:

@@ -83,7 +83,12 @@ class ClusterConfig:
     # ring, so long soaks stay memory-bounded and the records nearest a
     # failure survive.  See repro.sim.trace.TraceLog.
     trace_capacity: Optional[int] = None
-    # Failure handling.
+    # Failure handling.  Every inbound payload is a heartbeat; the detector
+    # sends an explicit one every fd_interval only on links it sent nothing
+    # else on.  On a live link the worst-case silent gap is therefore about
+    # two intervals (one on an idle link), so fd_timeout must exceed
+    # 2 * fd_interval plus the latency jitter (ValueError below 2x; every
+    # in-repo configuration uses at least 3.5x).
     enable_failure_detector: bool = False
     fd_interval: float = 50.0
     fd_timeout: float = 200.0

@@ -4,6 +4,13 @@ A site runs several message-consuming components (broadcast stack, failure
 detector, membership, protocol point-to-point traffic).  The router tags
 payloads with a channel name at the sender and dispatches by channel at the
 receiver, so the components stay decoupled.
+
+The router is also where a site's liveness is observed, because every
+payload crosses it: it keeps a per-peer record of the latest send
+(:attr:`ChannelRouter.last_sent`) and calls one inbound hook for every
+payload a peer delivers, on any channel.  The failure detector uses the
+pair to treat all traffic as a heartbeat (see
+:mod:`repro.broadcast.failure_detector`).
 """
 
 from __future__ import annotations
@@ -60,6 +67,14 @@ class ChannelRouter:
         self.batcher = batcher
         self._sender = batcher if batcher is not None else transport
         self._handlers: dict[str, Callable[[int, Any], None]] = {}
+        #: Send sequence, bumped once per send/multicast call; ``last_sent``
+        #: maps each peer to its value at the latest call addressed to it.
+        #: A logical counter, not a timestamp, so a reader can tell a send
+        #: issued after its own at the same simulated instant from one
+        #: issued before it.
+        self.sends = 0
+        self.last_sent: dict[int, int] = {}
+        self._inbound: Optional[Callable[[int], None]] = None
         transport.set_receiver(self._dispatch)
 
     def register(self, channel: str, handler: Callable[[int, Any], None]) -> None:
@@ -68,7 +83,14 @@ class ChannelRouter:
             raise ValueError(f"channel {channel!r} already registered")
         self._handlers[channel] = handler
 
+    def set_inbound(self, hook: Callable[[int], None]) -> None:
+        """Call ``hook(src_site)`` for every payload ``src_site`` delivers,
+        on any channel, before the channel's handler runs."""
+        self._inbound = hook
+
     def send(self, dst: int, channel: str, payload: Any, kind: Optional[str] = None) -> None:
+        self.sends += 1
+        self.last_sent[dst] = self.sends
         self._sender.send(dst, Tagged(channel, payload, kind or ""), kind)
 
     def multicast(
@@ -85,9 +107,16 @@ class ChannelRouter:
         tagged = Tagged(channel, payload, kind or "")
         if not include_self:
             dsts = [dst for dst in dsts if dst != self.site]
+        self.sends += 1
+        self.last_sent.update(dict.fromkeys(dsts, self.sends))
         self._sender.multicast(dsts, tagged, kind)
 
     def _dispatch(self, src: int, payload: Any) -> None:
+        if self._inbound is not None:
+            self._inbound(src)
+        self._route(src, payload)
+
+    def _route(self, src: int, payload: Any) -> None:
         if isinstance(payload, Tagged):
             handler = self._handlers.get(payload.channel)
             if handler is None:
@@ -101,7 +130,7 @@ class ChannelRouter:
             # preserves per-link FIFO payload-for-payload, and batches from
             # different senders dispatch in (sender, seq) arrival order.
             for item in payload.items:
-                self._dispatch(src, item)
+                self._route(src, item)
             return
         raise RuntimeError(f"site {self.site}: untagged payload {payload!r} from {src}")
 

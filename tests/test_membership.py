@@ -126,16 +126,19 @@ def test_join_request_is_proof_of_life():
     view N+1 by the next suspicion-driven proposal — and every message
     multicast during the eviction window postdates the state transfer's
     clock cut, opening a permanent causal delivery gap."""
-    from repro.broadcast.membership import JoinRequest
+    from repro.broadcast.membership import CHANNEL, JoinRequest
+    from repro.net.router import Tagged
 
     engine, network, detectors, services = build()
     crash(engine, network, detectors, services, 4, at=50.0)
     engine.run(until=300.0)
     assert 4 in detectors[0].suspected
     assert 4 not in services[0].view.members
-    # Deliver the join request directly, before site 4 has sent a single
-    # heartbeat the coordinator could have heard.
-    services[0]._on_message(4, JoinRequest(site=4, view_id=services[4].view.view_id))
+    # Hand the join request to the coordinator's router as its transport
+    # would, before site 4 has sent a single heartbeat the coordinator
+    # could have heard.
+    request = JoinRequest(site=4, view_id=services[4].view.view_id)
+    services[0].router._dispatch(4, Tagged(CHANNEL, request, request.kind))
     assert 4 not in detectors[0].suspected  # the request is proof of life
     assert 4 in services[0].view.members  # admitted...
     # ...and the next detector ticks do not evict the joiner again while
