@@ -76,7 +76,7 @@ def test_e9_crash_and_recovery(benchmark):
 
 def test_e9_partition_majority_rule(benchmark):
     def partition_run():
-        cluster = make_cluster("rbp", num_sites=5, seed=67, retry_aborted=False, **FD)
+        cluster = make_cluster("rbp", num_sites=5, seed=67, max_attempts=1, **FD)
         cluster.engine.schedule_at(50.0, cluster.partition, [[0, 1, 2], [3, 4]])
         outcomes = {}
         cluster.submit(

@@ -33,7 +33,7 @@ def main() -> None:
             enable_failure_detector=True,
             fd_interval=20.0,
             fd_timeout=80.0,
-            retry_aborted=False,
+            max_attempts=1,
         )
     )
     counter = [0]

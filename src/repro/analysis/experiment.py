@@ -42,12 +42,6 @@ from repro.analysis.report import Table
 _ChunkKey = tuple[int, int]
 
 
-def _run_cell(scenario: Callable[[str, Any, int], dict[str, float]],
-              parameter: Any, protocol: str, seed: int) -> dict[str, float]:
-    """Top-level trampoline so worker processes can unpickle the call."""
-    return scenario(protocol, parameter, seed)
-
-
 def _run_seed_chunk(
     scenario: Callable[[str, Any, int], dict[str, float]],
     parameter: Any,

@@ -134,16 +134,11 @@ class MembershipService(Process):
         if not self.i_am_coordinator():
             return
         proposed = tuple(
-            sorted(m for m in range(self.num_sites) if m not in suspected and self._reachable(m))
+            sorted(m for m in range(self.num_sites) if m not in suspected)
         )
         if proposed == self.view.members:
             return
         self._install_and_announce(proposed)
-
-    def _reachable(self, member: int) -> bool:
-        # The detector's silence already covers partitions; this hook exists
-        # for subclasses that integrate an explicit topology oracle.
-        return member == self.site or member not in self.detector.suspected
 
     def _install_and_announce(self, members: tuple[int, ...], min_id: int = 0) -> None:
         if self.site not in members:

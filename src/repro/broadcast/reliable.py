@@ -53,7 +53,6 @@ class ReliableBroadcast:
         self._seen: set[MessageId] = set()
         self._deliver: Optional[Callable[[BroadcastMessage], None]] = None
         self.delivered_count = 0
-        self.gc_reclaimed = 0
         router.register(CHANNEL, self._on_receive)
 
     def set_deliver(self, fn: Callable[[BroadcastMessage], None]) -> None:
@@ -100,23 +99,3 @@ class ReliableBroadcast:
             raise RuntimeError(f"site {self.site}: reliable broadcast has no deliver callback")
         self.delivered_count += 1
         self._deliver(message)
-
-    def garbage_collect(self, stable, lag: int = 128) -> int:
-        """Drop dedup entries for messages stable at every site.
-
-        ``stable`` is a vector (per-origin delivered-everywhere counts,
-        from :class:`repro.broadcast.stability.StabilityTracker`).  A
-        ``lag`` margin is kept because relayed duplicates of a stable
-        message can still be in flight for a short while; by the time a
-        message is ``lag`` broadcasts below the stability frontier, any
-        straggler copy has long been delivered or dropped.  Returns the
-        number of entries reclaimed.
-        """
-        removable = {
-            msg_id
-            for msg_id in self._seen
-            if stable[msg_id.sender] - lag >= msg_id.seq
-        }
-        self._seen -= removable
-        self.gc_reclaimed += len(removable)
-        return len(removable)

@@ -76,8 +76,3 @@ class StabilityTracker:
         for site in range(self.num_sites):
             if site not in members:
                 self._rows[site] = local.copy()
-
-    def garbage_collect_threshold(self) -> VectorClock:
-        """Alias for :meth:`stable_vector`: everything at or below it can
-        be dropped from retransmission/dedup buffers."""
-        return self.stable_vector()

@@ -63,12 +63,11 @@ class ClusterConfig:
     latency: Optional[LatencyModel] = None  # default: UniformLatency(0.5, 1.5)
     loss_rate: float = 0.0
     bandwidth: Optional[float] = None  # bytes/ms per link; None = infinite
-    # Transport mode: None = ARQ exactly when loss_rate > 0 (lossless runs
-    # stay passthrough and bit-identical to the analytical cost model);
-    # True = ARQ always, required before FaultSchedule.flaky_links can
-    # inject loss mid-run on a lossless build; False = passthrough always
-    # (rejected when loss_rate > 0).
-    reliable_links: Optional[bool] = None
+    # Transport mode: ARQ whenever loss_rate > 0; otherwise passthrough
+    # (bit-identical to the analytical cost model) unless reliable_links
+    # forces ARQ, which FaultSchedule.flaky_links needs before it can
+    # inject loss mid-run on a lossless build.
+    reliable_links: bool = False
     # Batching: None = passthrough, bit-identical to historical traffic.
     # Otherwise the flush window in ms (0.0 = same-instant coalescing): a
     # per-site BroadcastBatcher coalesces each window's traffic per link,
@@ -94,8 +93,7 @@ class ClusterConfig:
     fd_timeout: float = 200.0
     # Periodic WAL checkpointing (None disables).
     checkpoint_interval: Optional[float] = None
-    # Client retry loop.
-    retry_aborted: bool = True
+    # Client retry loop (max_attempts=1: no retries).
     max_attempts: int = 25
     retry_backoff: float = 10.0
     # RBP knobs.
@@ -107,9 +105,7 @@ class ClusterConfig:
     # ABP knobs.
     abp_variant: str = "bundled"  # or "shipped" / "locked"
     abp_order_mode: str = "sequencer"  # or "token"
-    abp_token_hold: float = 1.0
     abp_uniform: bool = False  # uniform (stable) delivery of commit requests
-    abp_stability_interval: float = 10.0
     # Baseline knobs.
     p2p_write_timeout: float = 400.0
     p2p_deadlock_interval: float = 10.0
@@ -121,11 +117,10 @@ class ClusterConfig:
             raise ValueError("num_sites must be at least 1")
         if self.num_objects < 1:
             raise ValueError("num_objects must be at least 1")
-        if self.reliable_links is False and self.loss_rate > 0:
-            raise ValueError(
-                "reliable_links=False with loss_rate > 0 would break the "
-                "reliable-FIFO-link assumption the protocols are built on"
-            )
+        if self.max_attempts < 1:
+            raise ValueError(f"max_attempts must be at least 1, not {self.max_attempts!r}")
+        if not isinstance(self.reliable_links, bool):
+            raise ValueError(f"reliable_links must be a bool, not {self.reliable_links!r}")
         if self.batching is not None and (
             isinstance(self.batching, bool)
             or not isinstance(self.batching, (int, float))
@@ -306,9 +301,7 @@ class Cluster:
                 self.engine,
                 causal,
                 mode=config.abp_order_mode,
-                token_hold=config.abp_token_hold,
                 uniform=config.abp_uniform,
-                stability_interval=config.abp_stability_interval,
                 coalesce_assignments=batched,
             )
             self.totals.append(total)
@@ -469,7 +462,7 @@ class Cluster:
             self._notify_final(status)
             return
         status.last_outcome = tx.abort_reason
-        retryable = self.config.retry_aborted and tx.abort_reason not in (
+        retryable = tx.abort_reason not in (
             AbortReason.SITE_FAILURE,
             AbortReason.NO_QUORUM,
         )
@@ -562,9 +555,6 @@ class Cluster:
         the spec table would make the whole simulation quadratic in the
         number of submitted transactions."""
         return self._unfinished_specs == 0
-
-    def specs_submitted(self) -> int:
-        return len(self._specs)
 
     def work_started_and_unfinished(self) -> bool:
         """True when some submitted spec has actually *begun* (its first

@@ -274,9 +274,6 @@ class Network:
         if not 0 <= site < self.num_sites:
             raise ValueError(f"unknown site {site} (num_sites={self.num_sites})")
 
-    def reset_stats(self) -> None:
-        self.stats = NetworkStats()
-
 
 def _kind_of(payload: Any) -> str:
     kind = getattr(payload, "kind", None)

@@ -118,10 +118,6 @@ def wire_size(payload: Any) -> int:
     return HEADER_BYTES + estimate_size(payload)
 
 
-#: Payload classes vetted for the size model (see :func:`register_payload`).
-_REGISTERED_PAYLOADS: set[type] = set()
-
-
 def register_payload(*classes: type) -> None:
     """Declare wire payload classes to the size model.
 
@@ -139,9 +135,3 @@ def register_payload(*classes: type) -> None:
                 f"wire payload {cls.__name__} must declare __slots__ "
                 "(e.g. @dataclass(slots=True)) or define __wire_size__"
             )
-        _REGISTERED_PAYLOADS.add(cls)
-
-
-def registered_payloads() -> frozenset[type]:
-    """The payload classes registered so far (for tests and audits)."""
-    return frozenset(_REGISTERED_PAYLOADS)

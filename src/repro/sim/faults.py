@@ -117,10 +117,11 @@ class FaultSchedule:
         declaration time — the historical declaration-time capture made
         overlapping windows restore to stale rates).
 
-        Only meaningful when the cluster's transports run in ARQ mode
-        (``reliable_links=True``, or any construction-time ``loss_rate`` >
-        0); raising loss on passthrough transports would break the
-        reliable-link assumption, so this guards against it.
+        Only meaningful when the cluster's transports run in ARQ mode: a
+        lossless build is passthrough unless ``reliable_links=True`` (any
+        construction-time ``loss_rate`` > 0 is ARQ already).  Raising loss
+        on passthrough transports would break the reliable-link
+        assumption, so this guards against it.
         """
         if until is not None and until <= at:
             raise ValueError(f"loss window must end after it starts ({at} .. {until})")

@@ -76,9 +76,9 @@ def scaled_cluster_config(
         # size axis.  Crash-only churn is safe without it: a multicast's
         # sends are scheduled atomically, so partial dissemination by a
         # crashing sender cannot occur (loss windows are the exception and
-        # require ARQ, forced below).
+        # require ARQ, forced below; a lossless build is passthrough).
         relay=False,
-        reliable_links=True if flap_loss is not None else None,
+        reliable_links=flap_loss is not None,
         trace=trace,
         trace_capacity=trace_capacity if trace else None,
     )

@@ -68,12 +68,6 @@ class BroadcastHarness:
             if stack == "reliable":
                 reliable.set_deliver(self._make_sink(site, lambda m: (m.payload, None)))
                 self.layers.append(reliable)
-            elif stack == "fifo":
-                from repro.broadcast.fifo import FifoBroadcast
-
-                fifo = FifoBroadcast(reliable)
-                fifo.set_deliver(self._make_sink(site, lambda m: (m.payload, m.id)))
-                self.layers.append(fifo)
             elif stack == "causal":
                 causal = CausalBroadcast(reliable)
                 causal.set_deliver(

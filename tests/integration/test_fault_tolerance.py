@@ -53,7 +53,7 @@ def test_crash_mid_transaction_does_not_corrupt(protocol):
     """Crashing the initiator while its transaction is in flight must leave
     the survivors consistent: the transaction either committed everywhere
     (among survivors) or nowhere."""
-    cluster = Cluster(fault_config(protocol, retry_aborted=False))
+    cluster = Cluster(fault_config(protocol, max_attempts=1))
     cluster.submit(spec("inflight", 4, "x0", "risky"), at=100.0)
     cluster.crash_site(4, at=100.4)  # mid-protocol
     for n in range(4):
@@ -67,7 +67,7 @@ def test_crash_mid_transaction_does_not_corrupt(protocol):
 
 
 def test_minority_partition_blocks_updates_but_not_reads():
-    cluster = Cluster(fault_config("rbp", retry_aborted=False))
+    cluster = Cluster(fault_config("rbp", max_attempts=1))
     cluster.engine.schedule_at(10.0, cluster.partition, [[0, 1, 2], [3, 4]])
     cluster.submit(spec("maj_upd", 0, "x0", 1), at=500.0)
     cluster.submit(spec("min_upd", 3, "x1", 2), at=500.0)
@@ -79,7 +79,7 @@ def test_minority_partition_blocks_updates_but_not_reads():
 
 
 def test_heal_rejoins_and_state_transfers():
-    cluster = Cluster(fault_config("rbp", retry_aborted=False))
+    cluster = Cluster(fault_config("rbp", max_attempts=1))
     cluster.engine.schedule_at(10.0, cluster.partition, [[0, 1, 2], [3, 4]])
     cluster.submit(spec("while_split", 1, "x0", "majority-write"), at=500.0)
     cluster.run(max_time=20000)

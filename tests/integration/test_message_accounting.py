@@ -24,7 +24,7 @@ def run_one_update(protocol, num_sites, writes, **overrides):
         num_objects=16,
         seed=1,
         cbp_heartbeat=None,
-        retry_aborted=False,
+        max_attempts=1,
     )
     config.update(overrides)
     cluster = Cluster(ClusterConfig(**config))

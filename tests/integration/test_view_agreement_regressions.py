@@ -51,7 +51,6 @@ def test_minority_partition_heal_reaches_one_view():
             num_sites=4,
             num_objects=6,
             seed=5,
-            retry_aborted=True,
             max_attempts=10,
             retry_backoff=5.0,
             enable_failure_detector=True,
@@ -116,7 +115,6 @@ def test_heal_heard_piecemeal_reaches_one_view():
             num_sites=4,
             num_objects=6,
             seed=5,
-            retry_aborted=True,
             max_attempts=10,
             retry_backoff=5.0,
             enable_failure_detector=True,

@@ -30,7 +30,6 @@ COMMON = dict(
     num_sites=3,
     num_objects=len(KEYS),
     seed=5,
-    retry_aborted=True,
     max_attempts=10,
     retry_backoff=5.0,
     # Keep the baseline's presumed-deadlock machinery fast so hypothesis
@@ -121,7 +120,6 @@ def test_faults_at_random_2pc_stages_preserve_1sr_and_terminate(workload, fault)
             num_sites=4,
             num_objects=len(KEYS),
             seed=5,
-            retry_aborted=True,
             max_attempts=10,
             retry_backoff=5.0,
             enable_failure_detector=True,

@@ -47,7 +47,7 @@ def test_certification_aborts_stale_reader(make_spec):
     site, with no votes."""
     from tests.conftest import quick_cluster
 
-    cluster = quick_cluster("abp", retry_aborted=False, num_sites=3)
+    cluster = quick_cluster("abp", max_attempts=1, num_sites=3)
     cluster.submit(make_spec("t1", 0, reads=["x0"], writes={"x0": "new"}), at=0.0)
     cluster.submit(make_spec("t2", 1, reads=["x0"], writes={"x1": "stale"}), at=0.1)
     result = cluster.run()
@@ -66,7 +66,7 @@ def test_write_skew_prevented(make_spec):
     abort one of them (the 1SR cycle the paper's proofs exclude)."""
     from tests.conftest import quick_cluster
 
-    cluster = quick_cluster("abp", retry_aborted=False)
+    cluster = quick_cluster("abp", max_attempts=1)
     cluster.submit(make_spec("t1", 0, reads=["x0"], writes={"x1": "a"}), at=0.0)
     cluster.submit(make_spec("t2", 1, reads=["x1"], writes={"x0": "b"}), at=0.1)
     result = cluster.run()
@@ -80,7 +80,7 @@ def test_blind_concurrent_writers_both_commit_in_order(make_spec):
     resolves their conflict and every replica installs in that order."""
     from tests.conftest import quick_cluster
 
-    cluster = quick_cluster("abp", retry_aborted=False)
+    cluster = quick_cluster("abp", max_attempts=1)
     cluster.submit(make_spec("w1", 0, writes={"x0": "a"}), at=0.0)
     cluster.submit(make_spec("w2", 1, writes={"x0": "b"}), at=0.1)
     result = cluster.run()
@@ -120,7 +120,7 @@ def test_read_only_commits_locally(make_spec):
 def test_retry_after_certification_abort_succeeds(make_spec):
     from tests.conftest import quick_cluster
 
-    cluster = quick_cluster("abp", retry_aborted=True)
+    cluster = quick_cluster("abp")
     cluster.submit(make_spec("t1", 0, reads=["x0"], writes={"x0": "a"}), at=0.0)
     cluster.submit(make_spec("t2", 1, reads=["x0"], writes={"x0": "b"}), at=0.1)
     result = cluster.run()
@@ -193,7 +193,7 @@ def test_locked_variant_leaves_no_lock_residue(make_spec):
     from tests.conftest import quick_cluster
     from repro.analysis.audit import assert_clean
 
-    cluster = quick_cluster("abp", abp_variant="locked", retry_aborted=True)
+    cluster = quick_cluster("abp", abp_variant="locked")
     cluster.submit(make_spec("a", 0, reads=["x0"], writes={"x0": 1}), at=0.0)
     cluster.submit(make_spec("b", 1, reads=["x0"], writes={"x0": 2}), at=0.1)
     result = cluster.run()

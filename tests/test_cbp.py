@@ -66,7 +66,7 @@ def test_heartbeats_bound_the_wait(cluster_factory, make_spec):
 
 
 def test_concurrent_conflicting_writers_resolved_by_nack(cluster_factory, make_spec):
-    cluster = cluster_factory("cbp", retry_aborted=False)
+    cluster = cluster_factory("cbp", max_attempts=1)
     cluster.submit(make_spec("w1", 0, writes={"x0": "a"}), at=0.0)
     cluster.submit(make_spec("w2", 1, writes={"x0": "b"}), at=0.1)
     result = cluster.run()
@@ -81,7 +81,7 @@ def test_mutual_concurrent_aborts_recover_via_retry(cluster_factory, make_spec):
     already endorsed its own transaction, so each NACKs the other's — the
     paper: concurrent conflicting operations "will be aborted").  The
     client retry loop then serializes the reruns causally and both commit."""
-    cluster = cluster_factory("cbp", retry_aborted=True, cbp_heartbeat=15.0)
+    cluster = cluster_factory("cbp", cbp_heartbeat=15.0)
     cluster.submit(make_spec("old", 0, writes={"x0": "a"}), at=0.0)
     cluster.submit(make_spec("young", 1, writes={"x0": "b"}), at=0.05)
     result = cluster.run()
@@ -92,7 +92,7 @@ def test_mutual_concurrent_aborts_recover_via_retry(cluster_factory, make_spec):
 
 def test_causally_ordered_writers_both_commit(cluster_factory, make_spec):
     """Sequential (causally ordered) writers to the same key never NACK."""
-    cluster = cluster_factory("cbp", retry_aborted=False, cbp_heartbeat=10.0)
+    cluster = cluster_factory("cbp", max_attempts=1, cbp_heartbeat=10.0)
     cluster.submit(make_spec("w1", 0, writes={"x0": "a"}), at=0.0)
     cluster.submit(make_spec("w2", 1, writes={"x0": "b"}), at=500.0)
     result = cluster.run()

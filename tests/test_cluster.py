@@ -18,6 +18,64 @@ def test_config_validation():
         ClusterConfig(num_objects=0)
 
 
+@pytest.mark.parametrize("attempts", [0, -1])
+def test_max_attempts_must_be_positive(attempts):
+    with pytest.raises(ValueError, match="max_attempts"):
+        ClusterConfig(max_attempts=attempts)
+    assert ClusterConfig(max_attempts=1).max_attempts == 1
+
+
+@pytest.mark.parametrize("value", [None, 1, "yes"])
+def test_reliable_links_must_be_a_bool(value):
+    with pytest.raises(ValueError, match="reliable_links"):
+        ClusterConfig(reliable_links=value)
+
+
+def test_lossy_network_runs_arq_whatever_reliable_links_says():
+    for reliable_links in (False, True):
+        cluster = Cluster(
+            ClusterConfig(num_sites=2, loss_rate=0.1, reliable_links=reliable_links)
+        )
+        assert not any(t.passthrough for t in cluster.transports)
+    assert all(t.passthrough for t in Cluster(ClusterConfig(num_sites=2)).transports)
+
+
+def test_config_fields_are_pinned():
+    """Every knob is deliberate: adding or removing a ClusterConfig field
+    must edit this list."""
+    import dataclasses
+
+    assert sorted(f.name for f in dataclasses.fields(ClusterConfig)) == [
+        "abp_order_mode",
+        "abp_uniform",
+        "abp_variant",
+        "bandwidth",
+        "batching",
+        "cbp_heartbeat",
+        "cbp_per_op",
+        "checkpoint_interval",
+        "enable_failure_detector",
+        "fd_interval",
+        "fd_timeout",
+        "latency",
+        "loss_rate",
+        "max_attempts",
+        "num_objects",
+        "num_sites",
+        "p2p_deadlock_interval",
+        "p2p_write_timeout",
+        "protocol",
+        "rbp_pipeline_writes",
+        "rbp_wound_local_readers",
+        "relay",
+        "reliable_links",
+        "retry_backoff",
+        "seed",
+        "trace",
+        "trace_capacity",
+    ]
+
+
 def test_duplicate_spec_rejected(cluster_factory, make_spec):
     cluster = cluster_factory("rbp")
     cluster.submit(make_spec("t1", 0, writes={"x0": 1}))
@@ -76,7 +134,7 @@ def test_retry_respects_max_attempts(cluster_factory, make_spec):
 
 
 def test_crash_site_aborts_its_local_transactions(cluster_factory, make_spec):
-    cluster = cluster_factory("rbp", retry_aborted=False)
+    cluster = cluster_factory("rbp", max_attempts=1)
     cluster.submit(make_spec("doomed", 1, writes={"x0": 1}), at=0.0)
     cluster.crash_site(1, at=0.05)  # before any ack can arrive
     result = cluster.run(max_time=5000)
@@ -103,7 +161,7 @@ def test_minority_view_refuses_updates_allows_reads(make_spec):
             enable_failure_detector=True,
             fd_interval=20,
             fd_timeout=80,
-            retry_aborted=False,
+            max_attempts=1,
         )
     )
     cluster.engine.schedule_at(10.0, cluster.partition, [[0, 1, 2], [3, 4]])

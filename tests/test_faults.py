@@ -43,7 +43,7 @@ def test_crash_and_recover_schedule():
 
 
 def test_partition_heal_schedule():
-    cluster = fault_cluster(retry_aborted=False)
+    cluster = fault_cluster(max_attempts=1)
     schedule = (
         FaultSchedule(cluster)
         .partition([[0, 1, 2], [3, 4]], at=50.0)

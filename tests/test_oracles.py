@@ -36,7 +36,7 @@ def test_liveness_violation_on_a_genuine_stall():
     """Without a failure detector a crashed cohort stalls RBP's write
     round forever — exactly the condition the liveness oracle must turn
     into a loud failure instead of a silently burning simulation."""
-    cluster = build_cluster(retry_aborted=False)
+    cluster = build_cluster(max_attempts=1)
     oracles = SoakOracles(
         cluster, OracleConfig(liveness_window=500.0, check_interval=50.0)
     )
@@ -79,7 +79,7 @@ def test_late_submission_gets_a_fresh_window():
 
 
 def test_disarm_stops_the_periodic_check():
-    cluster = build_cluster(retry_aborted=False)
+    cluster = build_cluster(max_attempts=1)
     oracles = SoakOracles(
         cluster, OracleConfig(liveness_window=500.0, check_interval=50.0)
     )

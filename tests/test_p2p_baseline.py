@@ -15,7 +15,7 @@ def test_single_update_commits_everywhere(cluster_factory, make_spec):
 def test_message_pattern_centralized_2pc(cluster_factory, make_spec):
     """One write, N=3: (N-1) writes + (N-1) acks + (N-1) prepare +
     (N-1) votes + (N-1) decisions — linear, not quadratic like RBP votes."""
-    cluster = cluster_factory("p2p", num_sites=3, retry_aborted=False)
+    cluster = cluster_factory("p2p", num_sites=3, max_attempts=1)
     cluster.submit(make_spec("t1", 0, writes={"x0": 1}))
     result = cluster.run()
     kinds = result.messages_by_kind
@@ -29,7 +29,7 @@ def test_message_pattern_centralized_2pc(cluster_factory, make_spec):
 def test_sequential_conflicting_writers_wait_not_abort(cluster_factory, make_spec):
     """WAIT discipline: a lock conflict queues rather than aborting, so
     two *sequential* conflicting writers both commit with zero aborts."""
-    cluster = cluster_factory("p2p", retry_aborted=False)
+    cluster = cluster_factory("p2p", max_attempts=1)
     cluster.submit(make_spec("w1", 0, writes={"x0": "a"}), at=0.0)
     cluster.submit(make_spec("w2", 1, writes={"x0": "b"}), at=50.0)
     result = cluster.run()
@@ -44,7 +44,7 @@ def test_truly_concurrent_single_key_writers_cross_deadlock(cluster_factory, mak
     invisible to local cycle detection, broken only by the write timeout.
     This is the pathology the paper's broadcast protocols eliminate."""
     cluster = cluster_factory(
-        "p2p", retry_aborted=True, p2p_write_timeout=100.0
+        "p2p", p2p_write_timeout=100.0
     )
     cluster.submit(make_spec("w1", 0, writes={"x0": "a"}), at=0.0)
     cluster.submit(make_spec("w2", 1, writes={"x0": "b"}), at=0.2)
@@ -59,7 +59,7 @@ def test_distributed_deadlock_resolved(cluster_factory, make_spec):
     homes: the classic distributed deadlock.  The baseline must detect it
     (cycle check or timeout) and make progress."""
     cluster = cluster_factory(
-        "p2p", retry_aborted=True, p2p_write_timeout=150.0, p2p_deadlock_interval=5.0
+        "p2p", p2p_write_timeout=150.0, p2p_deadlock_interval=5.0
     )
     # spec writes are sorted by key, so force opposite orders via key names
     # chosen to sort differently per transaction.
@@ -103,7 +103,7 @@ def test_read_only_never_aborts(cluster_factory, make_spec):
 
 
 def test_incremental_read_locks_wait_for_writers(cluster_factory, make_spec):
-    cluster = cluster_factory("p2p", retry_aborted=False)
+    cluster = cluster_factory("p2p", max_attempts=1)
     cluster.submit(make_spec("w", 0, writes={"x0": "v"}), at=0.0)
     cluster.submit(make_spec("r", 1, reads=["x0"]), at=0.5)
     result = cluster.run()

@@ -14,7 +14,7 @@ def all_lock_tables_empty(cluster):
 
 
 def test_rbp_abort_releases_locks_everywhere(make_spec):
-    cluster = quick_cluster("rbp", retry_aborted=False)
+    cluster = quick_cluster("rbp", max_attempts=1)
     cluster.submit(make_spec("a", 0, writes={"x0": 1, "x1": 1}), at=0.0)
     cluster.submit(make_spec("b", 1, writes={"x0": 2, "x1": 2}), at=0.1)
     result = cluster.run()
@@ -24,7 +24,7 @@ def test_rbp_abort_releases_locks_everywhere(make_spec):
 
 
 def test_cbp_abort_releases_locks_everywhere(make_spec):
-    cluster = quick_cluster("cbp", retry_aborted=False)
+    cluster = quick_cluster("cbp", max_attempts=1)
     cluster.submit(make_spec("a", 0, writes={"x0": 1}), at=0.0)
     cluster.submit(make_spec("b", 1, writes={"x0": 2}), at=0.1)
     result = cluster.run()
@@ -34,7 +34,7 @@ def test_cbp_abort_releases_locks_everywhere(make_spec):
 
 
 def test_abp_certification_abort_leaves_no_residue(make_spec):
-    cluster = quick_cluster("abp", retry_aborted=False)
+    cluster = quick_cluster("abp", max_attempts=1)
     cluster.submit(make_spec("a", 0, reads=["x0"], writes={"x0": 1}), at=0.0)
     cluster.submit(make_spec("b", 1, reads=["x0"], writes={"x0": 2}), at=0.1)
     result = cluster.run()
@@ -48,7 +48,7 @@ def test_abp_certification_abort_leaves_no_residue(make_spec):
 def test_cbp_duplicate_nacks_cause_single_abort(make_spec):
     """Several sites may NACK the same victim; the client sees exactly one
     abort per attempt."""
-    cluster = quick_cluster("cbp", num_sites=5, retry_aborted=False, seed=8)
+    cluster = quick_cluster("cbp", num_sites=5, max_attempts=1, seed=8)
     cluster.submit(make_spec("a", 0, writes={"x0": "a"}), at=0.0)
     cluster.submit(make_spec("b", 2, writes={"x0": "b"}), at=0.1)
     result = cluster.run()

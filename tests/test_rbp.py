@@ -24,7 +24,7 @@ def test_read_only_commits_without_messages(cluster_factory, make_spec):
 def test_message_pattern_per_write(cluster_factory, make_spec):
     """One write, N=3 sites: N-1 write broadcasts + N-1 point-to-point acks
     + N-1 commit-request + N*(N-1) decentralized votes."""
-    cluster = cluster_factory("rbp", num_sites=3, retry_aborted=False)
+    cluster = cluster_factory("rbp", num_sites=3, max_attempts=1)
     cluster.submit(make_spec("t1", 0, writes={"x0": 1}))
     result = cluster.run()
     kinds = result.messages_by_kind
@@ -43,7 +43,7 @@ def test_writes_are_sequential_rounds(cluster_factory, make_spec):
 
 
 def test_conflicting_concurrent_writers_one_aborts(cluster_factory, make_spec):
-    cluster = cluster_factory("rbp", retry_aborted=False)
+    cluster = cluster_factory("rbp", max_attempts=1)
     cluster.submit(make_spec("w1", 0, writes={"x0": "a"}), at=0.0)
     cluster.submit(make_spec("w2", 1, writes={"x0": "b"}), at=0.1)
     result = cluster.run()
@@ -54,7 +54,7 @@ def test_conflicting_concurrent_writers_one_aborts(cluster_factory, make_spec):
 
 
 def test_aborted_writer_retries_to_commit(cluster_factory, make_spec):
-    cluster = cluster_factory("rbp", retry_aborted=True)
+    cluster = cluster_factory("rbp")
     cluster.submit(make_spec("w1", 0, writes={"x0": "a"}), at=0.0)
     cluster.submit(make_spec("w2", 1, writes={"x0": "b"}), at=0.1)
     result = cluster.run()
@@ -65,7 +65,7 @@ def test_aborted_writer_retries_to_commit(cluster_factory, make_spec):
 
 def test_remote_write_vs_local_reader_aborts_writer(cluster_factory, make_spec):
     """No-wait: a broadcast write hitting a read lock draws a negative ack."""
-    cluster = cluster_factory("rbp", retry_aborted=False, num_sites=3)
+    cluster = cluster_factory("rbp", max_attempts=1, num_sites=3)
     # r holds a read lock on x0 at site 1 while w's write arrives there:
     # make r an update transaction so it stays in EXECUTING (holding S)
     # while its own write x9 round-trips.
@@ -84,7 +84,7 @@ def test_wound_local_readers_option_spares_the_writer(make_spec):
     from tests.conftest import quick_cluster
 
     cluster = quick_cluster(
-        "rbp", retry_aborted=False, rbp_wound_local_readers=True, num_sites=3
+        "rbp", max_attempts=1, rbp_wound_local_readers=True, num_sites=3
     )
     cluster.submit(make_spec("r", 1, reads=["x0"], writes={"x9": 1}), at=0.0)
     cluster.submit(make_spec("w", 0, writes={"x0": 2}), at=0.2)
@@ -101,7 +101,7 @@ def test_wound_local_readers_option_spares_the_writer(make_spec):
 
 def test_no_deadlocks_ever(cluster_factory, make_spec):
     """RBP is deadlock-free: no waits-for cycle can exist at any site."""
-    cluster = cluster_factory("rbp", num_objects=4, retry_aborted=True)
+    cluster = cluster_factory("rbp", num_objects=4)
     from repro.workload import WorkloadConfig
     from repro.workload.runner import run_standard_mix
 
@@ -168,7 +168,7 @@ def test_pipelined_writes_cut_latency_not_messages(make_spec):
 def test_pipelined_conflict_still_aborts_cleanly(make_spec):
     from tests.conftest import quick_cluster
 
-    cluster = quick_cluster("rbp", rbp_pipeline_writes=True, retry_aborted=True)
+    cluster = quick_cluster("rbp", rbp_pipeline_writes=True)
     cluster.submit(make_spec("w1", 0, writes={"x0": "a", "x1": "a"}), at=0.0)
     cluster.submit(make_spec("w2", 1, writes={"x1": "b", "x0": "b"}), at=0.1)
     result = cluster.run()

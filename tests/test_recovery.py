@@ -41,7 +41,7 @@ def test_state_transfer_is_message_based():
 
 
 def test_recovering_site_refuses_transactions():
-    cluster = fault_cluster(retry_aborted=False)
+    cluster = fault_cluster(max_attempts=1)
     cluster.crash_site(3, at=10.0)
     cluster.run(max_time=1000)
     # Start recovery but submit before the transfer reply can possibly

@@ -40,7 +40,7 @@ def test_read_locks_block_until_writer_finishes(cluster_factory, make_spec):
 
 
 def test_submit_to_crashed_replica_aborts(cluster_factory, make_spec):
-    cluster = cluster_factory("rbp", retry_aborted=False)
+    cluster = cluster_factory("rbp", max_attempts=1)
     cluster.replicas[0].crash()
     cluster.network.set_site_up(0, False)
     cluster.submit(make_spec("t", 0, writes={"x0": 1}))

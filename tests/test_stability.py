@@ -100,38 +100,3 @@ def test_uniform_cluster_end_to_end():
         > results["plain"].metrics.commit_latency(read_only=False).mean
     )
 
-
-def test_gc_bounds_dedup_state(harness_factory):
-    """With stability-driven GC the reliable layer's dedup set stays
-    bounded on a long-running system instead of growing forever."""
-    h = harness_factory(num_sites=3, stack="causal")
-    for layer in h.layers:
-        layer.enable_stability(gc=True)
-    # A long chatter: 600 broadcasts round-robin.
-    for n in range(600):
-        h.layers[n % 3].broadcast(Op(f"m{n}"))
-        if n % 50 == 49:
-            h.run(until=h.engine.now + 50.0)
-    h.run(until=h.engine.now + 200.0)
-    for layer in h.layers:
-        assert layer.reliable.gc_reclaimed > 0
-        # 600 messages seen in total; far fewer retained (roughly the
-        # lag=128 margin per origin plus the un-stabilized tail).
-        assert len(layer.reliable._seen) <= 3 * 160
-
-
-def test_gc_never_breaks_integrity(harness_factory):
-    """Messages are still delivered exactly once with GC active, even in
-    relay mode where duplicates abound."""
-    h = harness_factory(num_sites=3, stack="causal", relay=True)
-    for layer in h.layers:
-        layer.enable_stability(gc=True)
-    for n in range(300):
-        h.layers[n % 3].broadcast(Op(f"m{n}"))
-        if n % 30 == 29:
-            h.run(until=h.engine.now + 30.0)
-    h.run(until=h.engine.now + 300.0)
-    for site in range(3):
-        labels = [p.label for p, _ in h.delivered[site]]
-        assert len(labels) == 300
-        assert len(set(labels)) == 300

@@ -26,7 +26,7 @@ def test_builder_extracts_lifecycle():
 
 
 def test_aborted_transaction_marked():
-    cluster = traced_cluster(retry_aborted=False)
+    cluster = traced_cluster(max_attempts=1)
     cluster.submit(TransactionSpec.make("a", 0, writes={"x0": 1}), at=0.0)
     cluster.submit(TransactionSpec.make("b", 1, writes={"x0": 2}), at=0.1)
     cluster.run()
